@@ -162,11 +162,14 @@ type taggedPage struct {
 
 // lbaPend tracks one LBA's in-flight drain state: tickets [head, tail)
 // are popped copies not yet on NAND, pages holds their data oldest
-// first (pagesHead is the consumed prefix).
+// first (pagesHead is the consumed prefix). Drainers holding a later
+// ticket park on done, in ticket order; each persisted copy hands off
+// to the next one.
 type lbaPend struct {
 	head, tail uint64
 	pages      []taggedPage
 	pagesHead  int
+	done       *sim.Signal
 }
 
 // Stats aggregates device-level counters.
@@ -194,17 +197,17 @@ type Device struct {
 	// buffer coalesce in place; drains of the same LBA are serialized
 	// in pop order by per-LBA tickets, so NAND always ends with the
 	// newest copy; reads see the newest not-yet-persisted copy.
-	buf          []bufEntry
-	bufHead      int         // drain cursor into buf (popped entries)
-	bufSpace     *sim.Signal // fired when space frees up
-	bufWork      *sim.Signal // fired when work arrives
-	inflight     int         // entries popped by drainers, not yet on NAND
-	inflightDone *sim.Signal // fired when an LBA's oldest copy persists
-	bufDrain     *sim.Signal // fired when buffer+inflight reaches empty
+	buf      []bufEntry
+	bufHead  int         // drain cursor into buf (popped entries)
+	bufSpace *sim.Signal // fired when space frees up
+	bufWork  *sim.Signal // one idle drainer woken per buffered page
+	inflight int         // entries popped by drainers, not yet on NAND
+	bufDrain *sim.Signal // fired when buffer+inflight reaches empty
 	// Per-LBA pop bookkeeping: tickets force program order; pages keeps
 	// every popped-but-unpersisted copy visible to reads (oldest first —
-	// the newest is the read-visible one). Structs and page buffers are
-	// pooled: the drain path allocates nothing in steady state.
+	// the newest is the read-visible one). Structs (with their ticket
+	// signals) and page buffers are pooled: the drain path allocates
+	// nothing in steady state.
 	pend      map[ftl.LBA]*lbaPend
 	pendPool  []*lbaPend
 	pageSpare [][]byte
@@ -218,6 +221,7 @@ type Device struct {
 	inj                    *fault.Injector
 	pcieTrack, bufTrack    string
 	rdName, rdWGName       string
+	pendName               string
 	cReadCmds, cWriteCmds  *obs.Counter
 	cFlushCmds, cTimeouts  *obs.Counter
 	cPagesRead, cPagesWrit *obs.Counter
@@ -234,23 +238,23 @@ func New(env *sim.Env, p Profile) *Device {
 	}
 	fl := nand.New(env, p.Nand)
 	d := &Device{
-		env:          env,
-		profile:      p,
-		flash:        fl,
-		ftl:          ftl.New(env, fl, p.FTL),
-		fw:           env.NewResource(p.Name+".fw", p.FirmwareCores),
-		pcie:         env.NewResource(p.Name+".pcie", 1),
-		bufSpace:     env.NewSignal(p.Name + ".bufspace"),
-		bufWork:      env.NewSignal(p.Name + ".bufwork"),
-		bufDrain:     env.NewSignal(p.Name + ".bufdrain"),
-		inflightDone: env.NewSignal(p.Name + ".inflightdone"),
-		pend:         make(map[ftl.LBA]*lbaPend),
-		o:            obs.Of(env),
-		inj:          fault.Of(env),
-		pcieTrack:    p.Name + ".pcie",
-		bufTrack:     p.Name + ".wbuf",
-		rdName:       p.Name + ".rd",
-		rdWGName:     p.Name + ".read",
+		env:       env,
+		profile:   p,
+		flash:     fl,
+		ftl:       ftl.New(env, fl, p.FTL),
+		fw:        env.NewResource(p.Name+".fw", p.FirmwareCores),
+		pcie:      env.NewResource(p.Name+".pcie", 1),
+		bufSpace:  env.NewSignal(p.Name + ".bufspace"),
+		bufWork:   env.NewSignal(p.Name + ".bufwork"),
+		bufDrain:  env.NewSignal(p.Name + ".bufdrain"),
+		pend:      make(map[ftl.LBA]*lbaPend),
+		o:         obs.Of(env),
+		inj:       fault.Of(env),
+		pcieTrack: p.Name + ".pcie",
+		bufTrack:  p.Name + ".wbuf",
+		rdName:    p.Name + ".rd",
+		rdWGName:  p.Name + ".read",
+		pendName:  p.Name + ".lbadone",
 	}
 	reg := d.o.Registry()
 	d.cReadCmds = reg.Counter(p.Name + ".read_cmds")
@@ -327,7 +331,7 @@ func (d *Device) getPend() *lbaPend {
 		d.pendPool = d.pendPool[:n-1]
 		return pd
 	}
-	return &lbaPend{}
+	return &lbaPend{done: d.env.NewSignal(d.pendName)}
 }
 
 func (d *Device) putPend(pd *lbaPend) {
@@ -500,7 +504,7 @@ func (d *Device) WritePages(p *sim.Proc, lba ftl.LBA, data []byte) error {
 		l := lba + ftl.LBA(i)
 		if !d.coalesce(l, page, tag) {
 			d.buf = append(d.buf, bufEntry{lba: l, data: page, tag: tag})
-			d.bufWork.Fire()
+			d.bufWork.FireOne()
 			d.o.Tracer().Count(d.bufTrack, "buffered_pages", float64(d.BufferedPages()))
 		}
 	}
@@ -560,7 +564,14 @@ func (d *Device) coalesce(lba ftl.LBA, page []byte, tag uint32) bool {
 
 // drainLoop is the background firmware thread moving buffered pages to
 // NAND via the FTL. Per-LBA ordering: if another worker is mid-program
-// on the same LBA, wait, so the newest copy always lands last.
+// on the same LBA, wait on that LBA's ticket signal, so the newest copy
+// always lands last.
+//
+// Drainers are interchangeable, so every hand-off wakes exactly one of
+// them: a buffered page wakes the longest-idle drainer (bufWork), a
+// persisted copy wakes the holder of its LBA's next ticket (pd.done).
+// Neither changes virtual time against waking them all: see DESIGN.md
+// §6.2.
 func (d *Device) drainLoop(p *sim.Proc) {
 	for {
 		for len(d.buf) == d.bufHead {
@@ -593,7 +604,7 @@ func (d *Device) drainLoop(p *sim.Proc) {
 		pd.tail++
 		pd.pages = append(pd.pages, taggedPage{data: ent.data, tag: ent.tag})
 		for pd.head != ticket {
-			d.inflightDone.Wait(p)
+			pd.done.Wait(p)
 		}
 		sp := d.o.Tracer().BeginProc(p, "device", "drain_write")
 		if err := d.ftl.WritePageTagged(p, ent.lba, ent.data, ent.tag); err != nil {
@@ -605,8 +616,8 @@ func (d *Device) drainLoop(p *sim.Proc) {
 		pd.head++
 		pd.pages[pd.pagesHead] = taggedPage{}
 		d.putPage(ent.data) // NAND holds its own copy now
+		pd.done.FireOne()   // before pagesPop may recycle pd
 		d.pagesPop(pd, ent.lba)
-		d.inflightDone.Fire()
 		d.inflight--
 		d.o.Tracer().Count(d.bufTrack, "buffered_pages", float64(d.BufferedPages()))
 		if len(d.buf) == d.bufHead && d.inflight == 0 {

@@ -319,3 +319,86 @@ func TestConcurrentWritersIntegrity(t *testing.T) {
 	})
 	e.Run()
 }
+
+// drainRun replays a fixed write stream on a fresh device with the given
+// number of drain workers, checks last-write-wins contents after a
+// Drain, and reports the kernel events the stream cost (drainer start-up
+// excluded), the virtual time it ended at, the contents of every LBA it
+// wrote, and the peak number of popped pages in flight and of tickets
+// queued on one LBA.
+func drainRun(t *testing.T, workers int) (events uint64, end sim.Time, contents []byte, peakInflight, peakTickets int) {
+	t.Helper()
+	prof := small(ULLSSD())
+	prof.DrainWorkers = workers
+	e := sim.NewEnv()
+	d := New(e, prof)
+	e.Run() // park every drainer
+	start := e.Events()
+	ps := d.PageSize()
+	const hot, lbas = 3, 20
+	var want [lbas]byte
+	e.Go("writer", func(p *sim.Proc) {
+		v := byte(0)
+		for round := 0; round < 8; round++ {
+			// Three back-to-back rewrites of the hot LBA — each lands while
+			// the previous copies are still in flight, so tickets queue on
+			// it — then two cold LBAs, then a pause that lets the drain
+			// catch up.
+			for i, lba := range []ftl.LBA{hot, hot, hot, ftl.LBA(4 + 2*round), ftl.LBA(5 + 2*round)} {
+				v++
+				if err := d.WritePages(p, lba, bytes.Repeat([]byte{v}, ps)); err != nil {
+					t.Errorf("round %d write %d: %v", round, i, err)
+					return
+				}
+				want[lba] = v
+				peakInflight = max(peakInflight, d.inflight)
+				if pd := d.pend[hot]; pd != nil {
+					peakTickets = max(peakTickets, int(pd.tail-pd.head))
+				}
+			}
+			p.Sleep(300 * sim.Microsecond)
+		}
+		if err := d.Drain(p); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		for l := 0; l < lbas; l++ {
+			got, err := d.ReadPages(p, ftl.LBA(l), 1)
+			if err != nil {
+				t.Errorf("read %d: %v", l, err)
+				return
+			}
+			contents = append(contents, got[0])
+		}
+		if !bytes.Equal(contents, want[:]) {
+			t.Errorf("%d workers: contents %v, want %v (last write wins)", workers, contents, want)
+		}
+	})
+	e.Run()
+	return e.Events() - start, e.Now(), contents, peakInflight, peakTickets
+}
+
+// Idle drainers cost nothing: the drain hands each buffered page to one
+// drainer and each persisted copy to its LBA's next ticket holder, so a
+// device with 64 drain workers runs a stream that never needs more than
+// eight in exactly the events and virtual time of one with eight.
+// Waking every idle drainer per page (or every ticket holder per
+// persisted page) would make the event count grow with DrainWorkers.
+func TestIdleDrainersCostNoEvents(t *testing.T) {
+	ev8, end8, c8, inflight, tickets := drainRun(t, 8)
+	ev64, end64, c64, _, _ := drainRun(t, 64)
+	if inflight >= 8 {
+		t.Fatalf("stream keeps %d pages in flight; it must leave an 8-worker device idle drainers", inflight)
+	}
+	if tickets < 2 {
+		t.Fatalf("peak tickets on the hot LBA = %d, want >= 2 (same-LBA ordering not exercised)", tickets)
+	}
+	if ev8 != ev64 {
+		t.Errorf("events: %d with 8 drain workers, %d with 64; idle drainers must not be woken", ev8, ev64)
+	}
+	if end8 != end64 {
+		t.Errorf("end time: %d with 8 drain workers, %d with 64", end8, end64)
+	}
+	if !bytes.Equal(c8, c64) {
+		t.Errorf("contents differ: %v (8 workers) vs %v (64)", c8, c64)
+	}
+}

@@ -31,8 +31,16 @@ func levelBytes(tables []*table) int64 {
 // maybeCompact runs leveled compaction until the tree is in shape.
 // It is invoked from flush processes; the write lock is NOT held, and
 // readers tolerate table-set swaps because Go slices are replaced
-// atomically between sim yields.
+// atomically between sim yields. One compaction runs at a time: a flush
+// that lands while another flush's compaction is running returns at
+// once, and the running loop re-checks the triggers after every pass,
+// so the new L0 table is compacted by it.
 func (db *DB) maybeCompact(p *sim.Proc) error {
+	if db.compacting {
+		return nil
+	}
+	db.compacting = true
+	defer func() { db.compacting = false }()
 	for {
 		switch {
 		case len(db.levels[0]) >= db.cfg.L0Trigger:
@@ -61,7 +69,8 @@ func (db *DB) overfullLevel() int {
 }
 
 // compactL0 merges every L0 table plus the overlapping L1 tables into
-// fresh L1 tables.
+// fresh L1 tables. Flushes keep appending L0 tables while it merges, so
+// its inputs stay the prefix of L0, and only that prefix leaves.
 func (db *DB) compactL0(p *sim.Proc) error {
 	inputs := append([]*table(nil), db.levels[0]...)
 	lo, hi := keyRange(inputs)
@@ -85,7 +94,7 @@ func (db *DB) compactL0(p *sim.Proc) error {
 	if err != nil {
 		return err
 	}
-	db.levels[0] = nil
+	db.levels[0] = db.levels[0][len(inputs):]
 	newL1 := append(keepL1, out...)
 	sort.Slice(newL1, func(i, j int) bool { return bytes.Compare(newL1[i].first, newL1[j].first) < 0 })
 	db.levels[1] = newL1
@@ -189,7 +198,8 @@ func (db *DB) buildTables(p *sim.Proc, ents []entry) ([]*table, error) {
 		}
 		img := w.finish()
 		db.fileSeq++
-		f, err := db.cfg.DataFS.Create(sstName(db.fileSeq), int64(len(img)))
+		num := db.fileSeq // fixed before a flush's installSST can bump it
+		f, err := db.cfg.DataFS.Create(sstName(num), int64(len(img)))
 		if err != nil {
 			return err
 		}
@@ -199,7 +209,7 @@ func (db *DB) buildTables(p *sim.Proc, ents []entry) ([]*table, error) {
 		if err := f.Sync(p); err != nil {
 			return err
 		}
-		t, err := openTable(p, f, db.fileSeq)
+		t, err := openTable(p, f, num)
 		if err != nil {
 			return err
 		}

@@ -121,8 +121,9 @@ type DB struct {
 
 	levels [][]*table
 
-	wlock   *sim.Resource
-	immDone *sim.Signal
+	wlock      *sim.Resource
+	immDone    *sim.Signal
+	compacting bool // a flush process is running maybeCompact
 
 	// Reader/compaction coordination: compaction replaces level slices
 	// (never mutates visible elements), so readers work on a snapshot.
@@ -431,9 +432,12 @@ func (db *DB) writeSST(p *sim.Proc, m *memtable, level int) error {
 // installSST writes a finished SST image to DataFS and registers it.
 func (db *DB) installSST(p *sim.Proc, w *sstWriter, level int) error {
 	img := w.finish()
+	// Take the number before the first yield: a compaction building
+	// tables meanwhile bumps fileSeq too, and the number keys the block
+	// cache.
 	db.fileSeq++
-	name := sstName(db.fileSeq)
-	f, err := db.cfg.DataFS.Create(name, int64(len(img)))
+	num := db.fileSeq
+	f, err := db.cfg.DataFS.Create(sstName(num), int64(len(img)))
 	if err != nil {
 		return err
 	}
@@ -443,7 +447,7 @@ func (db *DB) installSST(p *sim.Proc, w *sstWriter, level int) error {
 	if err := f.Sync(p); err != nil {
 		return err
 	}
-	t, err := openTable(p, f, db.fileSeq)
+	t, err := openTable(p, f, num)
 	if err != nil {
 		return err
 	}

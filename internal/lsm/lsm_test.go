@@ -809,3 +809,65 @@ func TestDifferentialCommitModes(t *testing.T) {
 		}
 	}
 }
+
+// Background flushes keep landing while a compaction runs: the keyspace
+// is many memtables wide, so a merge rewrites far more than one
+// memtable's worth while the writer keeps rotating. Only one compaction
+// may run at a time (a second one over the same inputs drops their
+// files twice), an L0 table installed mid-merge must survive it, and a
+// table built by a flush and one built by the compaction must not share
+// a block-cache number.
+func TestFlushesDuringCompactionKeepData(t *testing.T) {
+	r := newDBRig()
+	r.env.Go("t", func(p *sim.Proc) {
+		cfg := r.config(wal.Sync)
+		cfg.MemtableBytes = 16 << 10
+		cfg.L0Trigger = 2
+		cfg.LevelBase = 64 << 10
+		db, err := Open(r.env, p, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		const keys = 2000
+		shadow := make([]string, keys)
+		rng := rand.New(rand.NewSource(7))
+		pad := bytes.Repeat([]byte{'v'}, 200)
+		overlapped := 0
+		for i := 0; i < 6000; i++ {
+			k := rng.Intn(keys)
+			v := fmt.Sprintf("val-%d-%s", i, pad)
+			if err := db.Put(p, []byte(fmt.Sprintf("user%05d", k)), []byte(v)); err != nil {
+				t.Errorf("put %d: %v", i, err)
+				return
+			}
+			shadow[k] = v
+			if db.compacting && db.imm != nil {
+				overlapped++ // a flush is running under a compaction
+			}
+		}
+		if err := db.FlushAll(p); err != nil {
+			t.Errorf("flush all: %v", err)
+			return
+		}
+		if overlapped == 0 || db.Stats().Compactions < 3 {
+			t.Errorf("flush/compaction overlap not exercised: overlapped=%d compactions=%d",
+				overlapped, db.Stats().Compactions)
+		}
+		for k, want := range shadow {
+			if want == "" {
+				continue
+			}
+			got, ok, err := db.Get(p, []byte(fmt.Sprintf("user%05d", k)))
+			if err != nil || !ok {
+				t.Errorf("key %d: ok=%v err=%v", k, ok, err)
+				return
+			}
+			if string(got) != want {
+				t.Errorf("key %d: stale value %.12q, want %.12q", k, got, want)
+				return
+			}
+		}
+	})
+	r.env.Run()
+}

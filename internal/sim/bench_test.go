@@ -76,3 +76,28 @@ func BenchmarkSignalFanout(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// BenchmarkSignalFireOne measures the wake-one hand-off: one firer, 32
+// interchangeable waiters, one waiter resumed per fire (the device
+// write-buffer drain pattern). The queue never empties, so this also
+// covers the waiter queue's prefix compaction.
+func BenchmarkSignalFireOne(b *testing.B) {
+	e := NewEnv()
+	s := e.NewSignal("s")
+	b.ReportAllocs()
+	for w := 0; w < 32; w++ {
+		e.GoDaemon("waiter", func(p *Proc) {
+			for {
+				s.Wait(p)
+			}
+		})
+	}
+	e.Go("firer", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(10)
+			s.FireOne()
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+}

@@ -1,10 +1,14 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Edge-of-contract tests for Resource and Signal: handoff vs
 // TryAcquire, waiter-queue wraparound, zero-capacity construction,
-// zero-duration Use, and Signal re-wait/spare-slice behavior.
+// zero-duration Use, Signal re-wait behavior, and FireOne's wake-one
+// hand-off.
 
 // A Release with queued waiters hands the unit directly to the head
 // waiter — a TryAcquire racing at the same instant, after the release
@@ -49,9 +53,9 @@ func TestTryAcquireCannotJumpHandoff(t *testing.T) {
 	}
 }
 
-// Appending new waiters while whead is mid-slice, draining across the
-// reset point, must keep strict FIFO order and leave the queue fully
-// compacted when it empties.
+// Appending new waiters while the head cursor is mid-slice, draining
+// across the reset point, must keep strict FIFO order and leave the
+// queue fully compacted when it empties.
 func TestResourceWaiterQueueWraparound(t *testing.T) {
 	e := NewEnv()
 	r := e.NewResource("r", 1)
@@ -70,12 +74,12 @@ func TestResourceWaiterQueueWraparound(t *testing.T) {
 		}
 	}
 	// 1..3 queue while the holder runs; 4 and 5 arrive after handoffs
-	// have advanced whead past the slice head but before it drains.
+	// have advanced the head cursor but before the queue drains.
 	for i := 1; i <= 3; i++ {
 		e.GoAt(Time(10*i), "w", use(i))
 	}
-	e.GoAt(105, "w", use(4)) // whead=1 (serving 1), len=3
-	e.GoAt(118, "w", use(5)) // whead=2 (serving 2), len=4
+	e.GoAt(105, "w", use(4)) // head=1 (serving 1), len=3
+	e.GoAt(118, "w", use(5)) // head=2 (serving 2), len=4
 	e.Run()
 	want := []int{1, 2, 3, 4, 5}
 	if len(order) != len(want) {
@@ -86,8 +90,8 @@ func TestResourceWaiterQueueWraparound(t *testing.T) {
 			t.Fatalf("service order = %v, want %v (FIFO across wraparound)", order, want)
 		}
 	}
-	if r.whead != 0 || len(r.waiters) != 0 {
-		t.Errorf("drained queue not reset: whead=%d len=%d", r.whead, len(r.waiters))
+	if r.waiters.head != 0 || len(r.waiters.procs) != 0 {
+		t.Errorf("drained queue not reset: head=%d len=%d", r.waiters.head, len(r.waiters.procs))
 	}
 	if r.QueueLen() != 0 || r.InUse() != 0 {
 		t.Errorf("resource not idle: queue=%d inUse=%d", r.QueueLen(), r.InUse())
@@ -136,8 +140,8 @@ func TestZeroDurationUse(t *testing.T) {
 }
 
 // A waiter that re-Waits from inside the wakeup of a Fire must not see
-// the same fire twice, and the recycled spare slice must not leak
-// old waiters into the next Fire.
+// the same fire twice, and the reused waiter array must not leak old
+// waiters into the next Fire.
 func TestSignalReWaitNeedsNextFire(t *testing.T) {
 	e := NewEnv()
 	s := e.NewSignal("s")
@@ -167,5 +171,172 @@ func TestSignalReWaitNeedsNextFire(t *testing.T) {
 	}
 	if s.Waiters() != 0 {
 		t.Errorf("stale waiters after final fire: %d", s.Waiters())
+	}
+}
+
+// fireOneRig parks n daemon waiters on s, in id order at t=1..n. Each
+// records its id at every wakeup and re-waits.
+func fireOneRig(e *Env, s *Signal, n int, woke *[]int) {
+	for id := 1; id <= n; id++ {
+		id := id
+		e.GoDaemon("waiter", func(p *Proc) {
+			p.Sleep(Duration(id))
+			for {
+				s.Wait(p)
+				*woke = append(*woke, id)
+			}
+		})
+	}
+}
+
+// FireOne wakes waiters one per call, longest-waiting first, and a
+// woken waiter that re-waits goes to the back of the line.
+func TestSignalFireOneFIFO(t *testing.T) {
+	e := NewEnv()
+	s := e.NewSignal("s")
+	var woke []int
+	fireOneRig(e, s, 3, &woke)
+	var waiters []int
+	e.GoAt(10, "firer", func(p *Proc) {
+		for i := 0; i < 6; i++ {
+			before := len(woke)
+			s.FireOne()
+			p.Sleep(10)
+			if got := len(woke) - before; got != 1 {
+				t.Errorf("FireOne #%d resumed %d waiters, want 1", i, got)
+			}
+			waiters = append(waiters, s.Waiters())
+		}
+	})
+	e.Run()
+	want := []int{1, 2, 3, 1, 2, 3}
+	if fmt.Sprint(woke) != fmt.Sprint(want) {
+		t.Errorf("wake order = %v, want %v", woke, want)
+	}
+	for i, n := range waiters {
+		if n != 3 {
+			t.Errorf("after FireOne #%d: %d waiters parked, want 3 (woken one re-waits)", i, n)
+		}
+	}
+	if s.Fires() != 6 {
+		t.Errorf("fires=%d, want 6", s.Fires())
+	}
+}
+
+// With nobody parked, FireOne wakes nothing and is not remembered for a
+// later waiter — but it still counts as a fire.
+func TestSignalFireOneNoWaiters(t *testing.T) {
+	e := NewEnv()
+	s := e.NewSignal("s")
+	woke := false
+	e.Go("firer", func(p *Proc) {
+		s.FireOne()
+		s.FireOne()
+		p.Sleep(10)
+		s.FireOne()
+	})
+	e.GoAt(5, "late", func(p *Proc) {
+		s.Wait(p)
+		woke = true
+	})
+	e.Run()
+	if !woke {
+		t.Error("waiter parked after two idle FireOnes was not woken by the third")
+	}
+	if s.Fires() != 3 {
+		t.Errorf("fires=%d, want 3 (idle FireOne still counts)", s.Fires())
+	}
+}
+
+// FireOne and Fire share one queue: Fire wakes everyone still parked in
+// the order they parked, including waiters requeued behind earlier
+// FireOne hand-offs.
+func TestSignalFireOneInterleavesWithFire(t *testing.T) {
+	e := NewEnv()
+	s := e.NewSignal("s")
+	var woke []int
+	fireOneRig(e, s, 3, &woke)
+	e.GoAt(10, "firer", func(p *Proc) {
+		s.FireOne() // 1; queue 2 3 1
+		p.Sleep(10)
+		s.FireOne() // 2; queue 3 1 2
+		p.Sleep(10)
+		s.Fire() // 3 1 2; queue 3 1 2
+		p.Sleep(10)
+		s.FireOne() // 3
+		s.FireOne() // 1, at the same instant
+		p.Sleep(10)
+		s.Fire() // 2 3 1
+	})
+	e.Run()
+	want := []int{1, 2, 3, 1, 2, 3, 1, 2, 3, 1}
+	if fmt.Sprint(woke) != fmt.Sprint(want) {
+		t.Errorf("wake order = %v, want %v", woke, want)
+	}
+	if s.Fires() != 6 {
+		t.Errorf("fires=%d, want 6", s.Fires())
+	}
+}
+
+// Waiters FireOne never reached are still parked when the environment
+// shuts down, and Shutdown unwinds them (their defers run).
+func TestSignalFireOneShutdownUnwindsParked(t *testing.T) {
+	e := NewEnv()
+	s := e.NewSignal("s")
+	var unwound, woke int
+	for i := 0; i < 4; i++ {
+		e.GoDaemon("waiter", func(p *Proc) {
+			defer func() { unwound++ }()
+			s.Wait(p)
+			woke++
+			p.Sleep(Second) // then exits; its defer counts it too
+		})
+	}
+	e.GoAt(10, "firer", func(p *Proc) { s.FireOne() })
+	e.Run()
+	if woke != 1 || unwound != 1 {
+		t.Fatalf("before shutdown: woke=%d exited=%d, want 1/1", woke, unwound)
+	}
+	if s.Waiters() != 3 {
+		t.Fatalf("waiters=%d before shutdown, want 3", s.Waiters())
+	}
+	e.Shutdown()
+	if unwound != 4 {
+		t.Errorf("unwound=%d after Shutdown, want 4 (1 exited + 3 parked)", unwound)
+	}
+}
+
+// Steady-state FireOne hand-offs — including a queue that never fully
+// drains, so its consumed prefix must be compacted — do not allocate.
+func TestSignalFireOneAllocationFree(t *testing.T) {
+	e := NewEnv()
+	s := e.NewSignal("s")
+	for i := 0; i < 8; i++ {
+		e.GoDaemon("waiter", func(p *Proc) {
+			for {
+				s.Wait(p)
+			}
+		})
+	}
+	fire := func(p *Proc) {
+		for i := 0; i < 64; i++ {
+			s.FireOne()
+			p.Sleep(1)
+		}
+	}
+	e.Go("warm", fire)
+	e.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Go("firer", fire)
+		e.Run()
+	})
+	if allocs > 0.1 {
+		t.Fatalf("steady-state FireOne allocates %.2f allocs/run, want ~0", allocs)
+	}
+	if s.Waiters() != 8 {
+		t.Errorf("waiters=%d, want 8", s.Waiters())
+	}
+	if n := len(s.waiters.procs); n > 16 {
+		t.Errorf("waiter queue grew to %d slots for 8 waiters; consumed prefix not reclaimed", n)
 	}
 }

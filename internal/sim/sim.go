@@ -13,7 +13,8 @@
 //   - Proc.Sleep: advance virtual time for this process.
 //   - Resource:   a counted resource with a FIFO wait queue (dies,
 //     channels, mutexes are Resources of capacity 1..n).
-//   - Signal:     a broadcast condition processes can park on.
+//   - Signal:     a condition processes can park on, woken by broadcast
+//     (Fire) or one waiter at a time (FireOne).
 //
 // # Hot path
 //
@@ -651,8 +652,7 @@ type Resource struct {
 	label   string // "resource <name>", precomputed for allocation-free parking
 	cap     int
 	inUse   int
-	waiters []*Proc
-	whead   int
+	waiters waitq
 
 	// Stats
 	acquires  uint64
@@ -688,12 +688,12 @@ func (e *Env) NewResources(names []string, capacity int) []Resource {
 // Acquire obtains one unit, waiting FIFO if none is free.
 func (r *Resource) Acquire(p *Proc) {
 	r.acquires++
-	if r.inUse < r.cap && r.whead == len(r.waiters) {
+	if r.inUse < r.cap && r.waiters.len() == 0 {
 		r.grab()
 		return
 	}
 	start := r.env.now
-	r.waiters = append(r.waiters, p)
+	r.waiters.push(p)
 	p.block(r.label)
 	// Our unit was reserved for us by Release before unblocking.
 	r.waited++
@@ -709,7 +709,7 @@ func (r *Resource) grab() {
 
 // TryAcquire obtains a unit only if one is immediately free.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap && r.whead == len(r.waiters) {
+	if r.inUse < r.cap && r.waiters.len() == 0 {
 		r.grab()
 		return true
 	}
@@ -723,15 +723,8 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release of idle resource " + r.name)
 	}
-	if r.whead < len(r.waiters) {
+	if w := r.waiters.pop(); w != nil {
 		// Hand off: usage count stays the same, ownership moves.
-		w := r.waiters[r.whead]
-		r.waiters[r.whead] = nil
-		r.whead++
-		if r.whead == len(r.waiters) {
-			r.waiters = r.waiters[:0]
-			r.whead = 0
-		}
 		r.env.unblock(w)
 		return
 	}
@@ -755,7 +748,7 @@ func (r *Resource) Use(p *Proc, d Duration) Duration {
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports the number of processes waiting.
-func (r *Resource) QueueLen() int { return len(r.waiters) - r.whead }
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // Stats reports acquisition counters for the resource.
 func (r *Resource) Stats() (acquires, waited uint64, waitTotal, busyTotal Duration) {
@@ -773,15 +766,15 @@ func (r *Resource) Busy() Duration {
 	return b
 }
 
-// Signal is a broadcast condition. Waiters park until Fire; Fire wakes
-// every current waiter at the current instant. A Signal may be fired
-// repeatedly; waiters registered after a Fire wait for the next one.
+// Signal is a wake-up condition. Waiters park until fired: Fire wakes
+// every current waiter, FireOne only the longest-waiting one, both at
+// the current instant. A Signal may be fired repeatedly; waiters
+// registered after a fire wait for the next one.
 type Signal struct {
 	env     *Env
 	name    string
 	label   string // "signal <name>", precomputed for allocation-free parking
-	waiters []*Proc
-	spare   []*Proc // retired waiter slice, reused to avoid re-allocating
+	waiters waitq
 	fires   uint64
 }
 
@@ -790,29 +783,75 @@ func (e *Env) NewSignal(name string) *Signal {
 	return &Signal{env: e, name: name, label: "signal " + name}
 }
 
-// Wait parks until the next Fire.
+// Wait parks until the next Fire, or until FireOne reaches this waiter.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
+	s.waiters.push(p)
 	p.block(s.label)
 }
 
-// Fire wakes all current waiters. It is safe to call with no waiters.
+// Fire wakes all current waiters, in the order they parked. It is safe
+// to call with no waiters.
 func (s *Signal) Fire() {
 	s.fires++
-	ws := s.waiters
-	s.waiters = s.spare[:0]
-	for i, w := range ws {
+	for w := s.waiters.pop(); w != nil; w = s.waiters.pop() {
 		s.env.unblock(w)
-		ws[i] = nil
 	}
-	s.spare = ws[:0]
+}
+
+// FireOne wakes the longest-waiting waiter only: a hand-off to one of
+// several interchangeable consumers, where Fire would resume them all
+// just for all but one to park again. With no waiters it does nothing
+// but still counts as a fire.
+func (s *Signal) FireOne() {
+	s.fires++
+	if w := s.waiters.pop(); w != nil {
+		s.env.unblock(w)
+	}
 }
 
 // Fires reports how many times the signal fired.
 func (s *Signal) Fires() uint64 { return s.fires }
 
 // Waiters reports the number of parked processes.
-func (s *Signal) Waiters() int { return len(s.waiters) }
+func (s *Signal) Waiters() int { return s.waiters.len() }
+
+// waitq is the FIFO of processes parked on a Resource or Signal. The
+// head advances by cursor (its slot nilled, so a woken process is not
+// pinned); the backing array is reused once the queue empties, and a
+// queue that never empties compacts its consumed prefix instead of
+// growing when the array fills — push and pop are amortized O(1) and
+// allocation-free in steady state.
+type waitq struct {
+	procs []*Proc
+	head  int
+}
+
+func (q *waitq) len() int { return len(q.procs) - q.head }
+
+func (q *waitq) push(p *Proc) {
+	if len(q.procs) == cap(q.procs) && q.head > 0 && 2*q.head >= len(q.procs) {
+		n := copy(q.procs, q.procs[q.head:])
+		clear(q.procs[n:])
+		q.procs = q.procs[:n]
+		q.head = 0
+	}
+	q.procs = append(q.procs, p)
+}
+
+// pop removes and returns the head, or nil when the queue is empty.
+func (q *waitq) pop() *Proc {
+	if q.head == len(q.procs) {
+		return nil
+	}
+	p := q.procs[q.head]
+	q.procs[q.head] = nil
+	q.head++
+	if q.head == len(q.procs) {
+		q.procs = q.procs[:0]
+		q.head = 0
+	}
+	return p
+}
 
 // WaitGroup counts outstanding work across processes, like sync.WaitGroup
 // but in virtual time.
