@@ -3,20 +3,21 @@
 //
 // Usage:
 //
-//	bench2b [-full] [-j N] [-metrics m.json] [-trace out.trace.json] [-benchjson b.json] [experiment ...]
+//	bench2b [-full] [-j N] [-seeds N] [-metrics m.json] [-trace out.trace.json] [-benchjson b.json] [-benchgate base.json] [-obsbench o.json] [-sample D] [-timeline t.json] [-listen addr] [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [experiment ...]
 //
 // Experiments: tab1 fig7a fig7b fig8a fig8b fig9 fig10 commit waf
-// mixed recovery tail smallread pmr journal qd pfleet probe ablations
-// all (default: all).
+// mixed recovery tail smallread pmr journal qd probe ablations all
+// (default: all).
 //
 // Eight reliability artifacts run only when named explicitly (they
-// are not part of "all"): "crash" sweeps 128 deterministic power-loss
-// points per workload across every storage engine (768 total,
-// including the segmented-WAL lifecycle engine) and "crash-smoke" is
-// the 96-point CI variant over lsm, pglite + walseg. Both exit
-// non-zero when any crash point violates the durability contract (a
-// committed record lost despite a persisted dump, or a phantom record
-// recovered). "fuzz" replays -seeds randomized dual-path workloads
+// are not part of "all"): crash crash-smoke fuzz fuzz-smoke fleet
+// fleet-smoke wal-life wal-life-smoke. "crash" sweeps 128
+// deterministic power-loss points per workload across every storage
+// engine (768 total, including the segmented-WAL lifecycle engine) and
+// "crash-smoke" is the 96-point CI variant over lsm, pglite + walseg.
+// Both exit non-zero when any crash point violates the durability
+// contract (a committed record lost despite a persisted dump, or a
+// phantom record recovered). "fuzz" replays -seeds randomized dual-path workloads
 // (default 256) against the internal/oracle reference model and
 // "fuzz-smoke" is the 32-seed CI variant; both exit non-zero on any
 // stack/model divergence, after shrinking it to a minimal op trace.
@@ -44,16 +45,11 @@
 // trace-event JSON of the virtual-time spans (open in Perfetto or
 // chrome://tracing); each simulated environment is one trace process.
 //
-// -pshards runs the experiments under the partitioned executor:
-// multi-instance experiments (fig9, the crash campaigns, the fuzzer,
-// every points()-driven sweep) assign their independent instances to N
-// statically-scheduled shard workers, and linked fleets (pfleet) run
-// their sim.Group with N workers. Results are identical at any value.
-//
 // -benchjson records the wall-clock performance of the simulator itself
 // — events/sec, allocs/event, per-experiment wall time and event
-// attribution (at -j 1), and the partitioned-vs-serial speedup probe —
-// so kernel speedups and regressions are measured run over run, not
+// attribution (at -j 1), and the partitioned-vs-serial speedup probe
+// (the fleet-steady fleet on one sim.Group worker vs one per CPU) — so
+// kernel speedups and regressions are measured run over run, not
 // asserted. -benchgate compares the run against a committed baseline
 // (BENCH_kernel.json) and exits non-zero on a >20% events/sec drop or
 // an allocs/event increase: the CI regression gate.
@@ -95,60 +91,21 @@ import (
 	"twobssd/internal/sim"
 )
 
-// experiment is one runnable paper artifact; run writes its tables to w.
-type experiment struct {
-	id  string
-	run func(w io.Writer)
-}
-
-// experiments returns the full artifact list in canonical print order.
-func experiments(scale bench.Scale) []experiment {
-	return []experiment{
-		{"tab1", func(w io.Writer) { bench.Spec().Print(w) }},
-		{"fig7a", func(w io.Writer) { bench.Fig7a(scale).Print(w) }},
-		{"fig7b", func(w io.Writer) { bench.Fig7b(scale).Print(w) }},
-		{"fig8a", func(w io.Writer) { bench.Fig8a(scale).Print(w) }},
-		{"fig8b", func(w io.Writer) { bench.Fig8b(scale).Print(w) }},
-		{"fig9", func(w io.Writer) {
-			bench.Fig9PG(scale).Print(w)
-			bench.Fig9LSM(scale).Print(w)
-			bench.Fig9AOF(scale).Print(w)
-		}},
-		{"fig10", func(w io.Writer) { bench.Fig10(scale).Print(w) }},
-		{"commit", func(w io.Writer) { bench.CommitOverhead(scale).Print(w) }},
-		{"waf", func(w io.Writer) { bench.WAFReduction(scale).Print(w) }},
-		{"mixed", func(w io.Writer) { bench.MixedWorkload(scale).Print(w) }},
-		{"recovery", func(w io.Writer) { bench.Recovery(scale).Print(w) }},
-		{"tail", func(w io.Writer) { bench.TailLatency(scale).Print(w) }},
-		{"smallread", func(w io.Writer) { bench.SmallRead(scale).Print(w) }},
-		{"pmr", func(w io.Writer) { bench.PMRComparison(scale).Print(w) }},
-		{"journal", func(w io.Writer) { bench.Journaling(scale).Print(w) }},
-		{"qd", func(w io.Writer) { bench.QueueDepth(scale).Print(w) }},
-		{"pfleet", func(w io.Writer) { bench.PartitionedFleet(scale).Print(w) }},
-		{"probe", func(w io.Writer) { bench.Probe(scale).Print(w) }},
-		{"ablations", func(w io.Writer) {
-			bench.AblationWriteCombining(scale).Print(w)
-			bench.AblationDoubleBuffering(scale).Print(w)
-			bench.AblationGroupCommit(scale).Print(w)
-		}},
-	}
-}
-
 // crashExperiments returns the reliability artifacts. They are
 // requested by name, never by "all": a full sweep crash-cycles the
 // simulated device hundreds of times, which is a reliability gate, not
 // a paper figure. A durability violation flips failed so main can exit
 // non-zero after the reports print.
-func crashExperiments(failed *atomic.Bool) []experiment {
+func crashExperiments(failed *atomic.Bool) []bench.Experiment {
 	run := func(w io.Writer, names []string, pointsPer int) {
 		if err := bench.RunCrash(w, names, pointsPer); err != nil {
 			fmt.Fprintf(w, "FAIL: %v\n", err)
 			failed.Store(true)
 		}
 	}
-	return []experiment{
-		{"crash", func(w io.Writer) { run(w, nil, 128) }},
-		{"crash-smoke", func(w io.Writer) { run(w, []string{"lsm", "pglite", "walseg"}, 32) }},
+	return []bench.Experiment{
+		{ID: "crash", Run: func(w io.Writer) { run(w, nil, 128) }},
+		{ID: "crash-smoke", Run: func(w io.Writer) { run(w, []string{"lsm", "pglite", "walseg"}, 32) }},
 	}
 }
 
@@ -157,15 +114,15 @@ func crashExperiments(failed *atomic.Bool) []experiment {
 // per commit mode) and "wal-life-smoke" the 32-point CI variant with a
 // byte-identity determinism check. Any durability or repair violation
 // — or smoke-run nondeterminism — flips failed so main exits non-zero.
-func walLifeExperiments(failed *atomic.Bool) []experiment {
-	return []experiment{
-		{"wal-life", func(w io.Writer) {
+func walLifeExperiments(failed *atomic.Bool) []bench.Experiment {
+	return []bench.Experiment{
+		{ID: "wal-life", Run: func(w io.Writer) {
 			if err := bench.RunWalLife(w, 128); err != nil {
 				fmt.Fprintf(w, "FAIL: %v\n", err)
 				failed.Store(true)
 			}
 		}},
-		{"wal-life-smoke", func(w io.Writer) {
+		{ID: "wal-life-smoke", Run: func(w io.Writer) {
 			if err := bench.RunWalLifeSmoke(w, 32); err != nil {
 				fmt.Fprintf(w, "FAIL: %v\n", err)
 				failed.Store(true)
@@ -178,16 +135,16 @@ func walLifeExperiments(failed *atomic.Bool) []experiment {
 // campaigns they run only when named. A divergence between the stack
 // and the reference model flips failed so main exits non-zero after
 // the shrunk trace prints.
-func fuzzExperiments(failed *atomic.Bool, seeds int) []experiment {
+func fuzzExperiments(failed *atomic.Bool, seeds int) []bench.Experiment {
 	run := func(w io.Writer, n int) {
 		if _, err := bench.RunFuzz(w, n); err != nil {
 			fmt.Fprintf(w, "FAIL: %v\n", err)
 			failed.Store(true)
 		}
 	}
-	return []experiment{
-		{"fuzz", func(w io.Writer) { run(w, seeds) }},
-		{"fuzz-smoke", func(w io.Writer) { run(w, 32) }},
+	return []bench.Experiment{
+		{ID: "fuzz", Run: func(w io.Writer) { run(w, seeds) }},
+		{ID: "fuzz-smoke", Run: func(w io.Writer) { run(w, 32) }},
 	}
 }
 
@@ -198,16 +155,16 @@ func fuzzExperiments(failed *atomic.Bool, seeds int) []experiment {
 // one crash with follower takeover, plus a worker-count determinism
 // probe). Any lost or phantom record, missed failover, or determinism
 // divergence flips failed so main exits non-zero.
-func fleetExperiments(failed *atomic.Bool, scale bench.Scale) []experiment {
+func fleetExperiments(failed *atomic.Bool, scale bench.Scale) []bench.Experiment {
 	run := func(w io.Writer, smoke bool) {
 		if err := bench.RunFleet(w, scale, smoke); err != nil {
 			fmt.Fprintf(w, "FAIL: %v\n", err)
 			failed.Store(true)
 		}
 	}
-	return []experiment{
-		{"fleet", func(w io.Writer) { run(w, false) }},
-		{"fleet-smoke", func(w io.Writer) { run(w, true) }},
+	return []bench.Experiment{
+		{ID: "fleet", Run: func(w io.Writer) { run(w, false) }},
+		{ID: "fleet-smoke", Run: func(w io.Writer) { run(w, true) }},
 	}
 }
 
@@ -231,7 +188,6 @@ type kernelReport struct {
 	GoVersion      string                 `json:"go_version"`
 	NumCPU         int                    `json:"num_cpu"`
 	Jobs           int                    `json:"jobs"`
-	Pshards        int                    `json:"pshards"`
 	Experiments    []expReport            `json:"experiments"`
 	WallNs         int64                  `json:"wall_ns"`
 	VirtualNs      int64                  `json:"virtual_ns"`
@@ -246,12 +202,12 @@ type kernelReport struct {
 // returns an error on a kernel performance regression: a >20% drop in
 // events/sec, an allocs/event increase beyond measurement noise (10%
 // relative plus 0.02 absolute), or a partition-probe speedup that
-// collapsed versus the baseline. The speedup comparison only makes
-// sense between like hosts: when the baseline was recorded on a
-// machine with a different CPU count it is skipped with a notice,
-// so a multi-core runner doesn't false-fail against a 1-CPU baseline
-// (or vice versa).
-func gate(cur kernelReport, basePath string) error {
+// collapsed versus the baseline. The probe runs one worker per CPU, so
+// the speedup comparison only makes sense between like hosts: when the
+// baseline was recorded on a machine with a different CPU count it is
+// skipped with a notice written to notes, so a multi-core runner
+// doesn't false-fail against a 1-CPU baseline (or vice versa).
+func gate(cur kernelReport, basePath string, notes io.Writer) error {
 	data, err := os.ReadFile(basePath)
 	if err != nil {
 		return err
@@ -263,11 +219,8 @@ func gate(cur kernelReport, basePath string) error {
 	if base.Partition != nil && cur.Partition != nil && base.Partition.Speedup > 1 {
 		switch {
 		case base.NumCPU != runtime.NumCPU():
-			fmt.Printf("benchgate: skipping partition-speedup check: baseline recorded on %d CPUs, host has %d\n",
+			fmt.Fprintf(notes, "benchgate: skipping partition-speedup check: baseline recorded on %d CPUs, host has %d\n",
 				base.NumCPU, runtime.NumCPU())
-		case base.Partition.Shards != cur.Partition.Shards:
-			fmt.Printf("benchgate: skipping partition-speedup check: baseline ran %d shards, this run %d\n",
-				base.Partition.Shards, cur.Partition.Shards)
 		case cur.Partition.Speedup < 0.75*base.Partition.Speedup:
 			return fmt.Errorf("partition speedup regressed: %.2fx vs baseline %.2fx",
 				cur.Partition.Speedup, base.Partition.Speedup)
@@ -301,13 +254,12 @@ func main() {
 	timelinePath := flag.String("timeline", "", "write the merged metric timeline to this file (.csv extension selects CSV, else JSON)")
 	listenAddr := flag.String("listen", "", "serve /metrics, /timeline and /progress on this address; keeps serving after the run until interrupted")
 	seeds := flag.Int("seeds", 256, "seed count for the fuzz experiment")
-	pshards := flag.Int("pshards", 1, "partition shards: multi-instance experiments run on N statically-assigned shard workers and linked fleets use N sim.Group workers (results identical at any value; 1 = off)")
 	benchGate := flag.String("benchgate", "", "compare this run against a baseline kernel benchmark JSON; exit non-zero on >20% events/sec drop or an allocs/event increase")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a host allocation profile (pprof, alloc_space) to this file after the run")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: bench2b [-full] [-j N] [-pshards N] [-seeds N] [-metrics m.json] [-trace out.trace.json] [-benchjson b.json] [-benchgate base.json] [-obsbench o.json] [-sample D] [-timeline t.json] [-listen addr] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "experiments: tab1 fig7a fig7b fig8a fig8b fig9 fig10 commit waf mixed recovery tail smallread pmr journal qd pfleet probe ablations all\n")
+		fmt.Fprintf(os.Stderr, "usage: bench2b [-full] [-j N] [-seeds N] [-metrics m.json] [-trace out.trace.json] [-benchjson b.json] [-benchgate base.json] [-obsbench o.json] [-sample D] [-timeline t.json] [-listen addr] [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [experiment ...]\n")
+		fmt.Fprintf(os.Stderr, "experiments: tab1 fig7a fig7b fig8a fig8b fig9 fig10 commit waf mixed recovery tail smallread pmr journal qd probe ablations all\n")
 		fmt.Fprintf(os.Stderr, "reliability (not in \"all\"): crash crash-smoke fuzz fuzz-smoke fleet fleet-smoke wal-life wal-life-smoke\n")
 	}
 	flag.Parse()
@@ -316,7 +268,6 @@ func main() {
 		scale, scaleName = bench.Full, "full"
 	}
 	bench.SetJobs(*jobs)
-	bench.SetPartitionShards(*pshards)
 
 	// Host-side profiling: the kernel's wall-clock performance is a
 	// first-class artifact (BENCH_kernel.json), so regressions must be
@@ -399,24 +350,24 @@ func main() {
 	}
 
 	var gateFailed atomic.Bool
-	all := experiments(scale)
-	byID := make(map[string]experiment, len(all))
+	all := bench.Experiments(scale)
+	byID := make(map[string]bench.Experiment, len(all))
 	for _, ex := range all {
-		byID[ex.id] = ex
+		byID[ex.ID] = ex
 	}
 	for _, ex := range crashExperiments(&gateFailed) {
-		byID[ex.id] = ex
+		byID[ex.ID] = ex
 	}
 	for _, ex := range fuzzExperiments(&gateFailed, *seeds) {
-		byID[ex.id] = ex
+		byID[ex.ID] = ex
 	}
 	for _, ex := range fleetExperiments(&gateFailed, scale) {
-		byID[ex.id] = ex
+		byID[ex.ID] = ex
 	}
 	for _, ex := range walLifeExperiments(&gateFailed) {
-		byID[ex.id] = ex
+		byID[ex.ID] = ex
 	}
-	var selected []experiment
+	var selected []bench.Experiment
 	args := flag.Args()
 	if len(args) == 0 {
 		if *obsbenchPath != "" {
@@ -484,13 +435,12 @@ func main() {
 				GoVersion: runtime.Version(),
 				NumCPU:    runtime.NumCPU(),
 				Jobs:      *jobs,
-				Pshards:   *pshards,
 				WallNs:    wallTotal.Nanoseconds(),
 				VirtualNs: int64(col.TotalVirtual()),
 				Events:    col.TotalEvents(),
 			}
 			for i, ex := range selected {
-				er := expReport{ID: ex.id, WallNs: walls[i].Nanoseconds()}
+				er := expReport{ID: ex.ID, WallNs: walls[i].Nanoseconds()}
 				if expEvents != nil {
 					er.Events = expEvents[i]
 					if er.Events > 0 {
@@ -505,11 +455,16 @@ func main() {
 				rep.AllocsPerEvent = float64(ms1.Mallocs-ms0.Mallocs) / float64(rep.Events)
 			}
 			// Partitioned-vs-serial speedup probe: the same linked fleet
-			// wall-clocked at one worker and at -pshards workers, with a
-			// result-identity check (the determinism bar).
-			rep.Partition = bench.PartitionSpeedup(scale)
-			fmt.Printf("partition probe: %d shards, %d pairs, speedup %.2fx, identical=%v\n",
-				rep.Partition.Shards, rep.Partition.Pairs, rep.Partition.Speedup, rep.Partition.Identical)
+			// wall-clocked at one worker and at one worker per CPU, with
+			// a result-identity check (the determinism bar).
+			part, err := bench.PartitionSpeedup(scale)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "bench2b: %v\n", err)
+				os.Exit(1)
+			}
+			rep.Partition = part
+			fmt.Printf("partition probe: %d workers, %d devices, speedup %.2fx, identical=%v\n",
+				part.Workers, part.Devices, part.Speedup, part.Identical)
 			// Steady-state allocation probe: a sustained BA-WAL commit
 			// stream on a warmed stack. The aggregate allocs/event above
 			// includes per-experiment construction; this is the long-run
@@ -525,7 +480,7 @@ func main() {
 				})
 			}
 			if *benchGate != "" {
-				if err := gate(rep, *benchGate); err != nil {
+				if err := gate(rep, *benchGate, os.Stdout); err != nil {
 					fmt.Fprintf(os.Stderr, "bench2b: benchgate: %v\n", err)
 					gateFailed.Store(true)
 				} else {
@@ -570,16 +525,16 @@ func main() {
 // host allocations (nil slices under -j > 1, or without a collector
 // for the event counts). When live is non-nil, batch progress
 // (done/total, current experiment) feeds the /progress stream.
-func runAll(selected []experiment, jobs int, live *obs.LiveServer, col *obs.Collector) ([]time.Duration, []uint64, []uint64) {
+func runAll(selected []bench.Experiment, jobs int, live *obs.LiveServer, col *obs.Collector) ([]time.Duration, []uint64, []uint64) {
 	if live != nil {
 		live.SetTotal(len(selected))
 	}
-	step := func(ex experiment, w io.Writer) time.Duration {
+	step := func(ex bench.Experiment, w io.Writer) time.Duration {
 		if live != nil {
-			live.SetLabel(ex.id)
+			live.SetLabel(ex.ID)
 		}
 		t0 := time.Now()
-		ex.run(w)
+		ex.Run(w)
 		if live != nil {
 			live.StepDone()
 		}

@@ -115,3 +115,42 @@ func Spec() *Table {
 	}
 	return t
 }
+
+// Experiment is one runnable artifact; Run writes its tables to w.
+type Experiment struct {
+	ID  string
+	Run func(w io.Writer)
+}
+
+// Experiments returns every paper artifact of `bench2b all` at scale s,
+// in canonical print order.
+func Experiments(s Scale) []Experiment {
+	return []Experiment{
+		{"tab1", func(w io.Writer) { Spec().Print(w) }},
+		{"fig7a", func(w io.Writer) { Fig7a(s).Print(w) }},
+		{"fig7b", func(w io.Writer) { Fig7b(s).Print(w) }},
+		{"fig8a", func(w io.Writer) { Fig8a(s).Print(w) }},
+		{"fig8b", func(w io.Writer) { Fig8b(s).Print(w) }},
+		{"fig9", func(w io.Writer) {
+			Fig9PG(s).Print(w)
+			Fig9LSM(s).Print(w)
+			Fig9AOF(s).Print(w)
+		}},
+		{"fig10", func(w io.Writer) { Fig10(s).Print(w) }},
+		{"commit", func(w io.Writer) { CommitOverhead(s).Print(w) }},
+		{"waf", func(w io.Writer) { WAFReduction(s).Print(w) }},
+		{"mixed", func(w io.Writer) { MixedWorkload(s).Print(w) }},
+		{"recovery", func(w io.Writer) { Recovery(s).Print(w) }},
+		{"tail", func(w io.Writer) { TailLatency(s).Print(w) }},
+		{"smallread", func(w io.Writer) { SmallRead(s).Print(w) }},
+		{"pmr", func(w io.Writer) { PMRComparison(s).Print(w) }},
+		{"journal", func(w io.Writer) { Journaling(s).Print(w) }},
+		{"qd", func(w io.Writer) { QueueDepth(s).Print(w) }},
+		{"probe", func(w io.Writer) { Probe(s).Print(w) }},
+		{"ablations", func(w io.Writer) {
+			AblationWriteCombining(s).Print(w)
+			AblationDoubleBuffering(s).Print(w)
+			AblationGroupCommit(s).Print(w)
+		}},
+	}
+}

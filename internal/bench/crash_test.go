@@ -30,31 +30,6 @@ func TestCrashCampaignsSmoke(t *testing.T) {
 	}
 }
 
-// The campaign report must be byte-identical run over run and at any
-// parallelism — the same invariant TestJobsInvariance pins for the
-// paper experiments.
-func TestCrashCampaignDeterminism(t *testing.T) {
-	old := Jobs()
-	defer SetJobs(old)
-	run := func(jobs int) string {
-		SetJobs(jobs)
-		var buf bytes.Buffer
-		if err := RunCrash(&buf, []string{"lsm", "kvaof"}, 8); err != nil {
-			t.Fatalf("RunCrash (j=%d): %v\n%s", jobs, err, buf.String())
-		}
-		return buf.String()
-	}
-	seq := run(1)
-	again := run(1)
-	par := run(8)
-	if seq != again {
-		t.Fatalf("report differs run over run:\n--- first\n%s\n--- second\n%s", seq, again)
-	}
-	if seq != par {
-		t.Fatalf("report differs between -j 1 and -j 8:\n--- j1\n%s\n--- j8\n%s", seq, par)
-	}
-}
-
 // Installing an injector with an empty plan must not perturb the
 // fault-free virtual timing: the hooks only observe.
 func TestEmptyPlanDoesNotPerturbTiming(t *testing.T) {

@@ -8,102 +8,106 @@ import (
 	"twobssd/internal/obs"
 )
 
-// quickExperiments lists every bench2b experiment at Quick scale, in
-// bench2b's print order. Kept in sync with cmd/bench2b by the ids.
-func quickExperiments() []struct {
-	id  string
-	run func(io.Writer)
-} {
-	s := Quick
-	return []struct {
-		id  string
-		run func(io.Writer)
-	}{
-		{"tab1", func(w io.Writer) { Spec().Print(w) }},
-		{"fig7a", func(w io.Writer) { Fig7a(s).Print(w) }},
-		{"fig7b", func(w io.Writer) { Fig7b(s).Print(w) }},
-		{"fig8a", func(w io.Writer) { Fig8a(s).Print(w) }},
-		{"fig8b", func(w io.Writer) { Fig8b(s).Print(w) }},
-		{"fig9", func(w io.Writer) {
-			Fig9PG(s).Print(w)
-			Fig9LSM(s).Print(w)
-			Fig9AOF(s).Print(w)
-		}},
-		{"fig10", func(w io.Writer) { Fig10(s).Print(w) }},
-		{"commit", func(w io.Writer) { CommitOverhead(s).Print(w) }},
-		{"waf", func(w io.Writer) { WAFReduction(s).Print(w) }},
-		{"mixed", func(w io.Writer) { MixedWorkload(s).Print(w) }},
-		{"recovery", func(w io.Writer) { Recovery(s).Print(w) }},
-		{"tail", func(w io.Writer) { TailLatency(s).Print(w) }},
-		{"smallread", func(w io.Writer) { SmallRead(s).Print(w) }},
-		{"pmr", func(w io.Writer) { PMRComparison(s).Print(w) }},
-		{"journal", func(w io.Writer) { Journaling(s).Print(w) }},
-		{"qd", func(w io.Writer) { QueueDepth(s).Print(w) }},
-		{"pfleet", func(w io.Writer) { PartitionedFleet(s).Print(w) }},
-		{"probe", func(w io.Writer) { Probe(s).Print(w) }},
-		{"ablations", func(w io.Writer) {
-			AblationWriteCombining(s).Print(w)
-			AblationDoubleBuffering(s).Print(w)
-			AblationGroupCommit(s).Print(w)
-		}},
-	}
+// artifact is one determinism-harness row: a bench2b artifact at Quick
+// scale whose printed output, merged metrics and merged timeline must
+// not depend on the executor.
+type artifact struct {
+	id    string
+	short bool // also runs under -short (keeps the parallel executor under -race in CI)
+	run   func(io.Writer) error
 }
 
-// TestExperimentsDeterministic runs every experiment twice and demands
-// byte-identical table output. This is the guard that lets the sim
-// kernel and the parallel runner be optimised freely: any scheduling
-// or ordering leak into virtual-time results fails here.
-func TestExperimentsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweep; skipped with -short")
+// artifacts lists every bench2b "all" experiment at Quick scale, in
+// print order, followed by the crash, wal-life and fleet sweeps.
+func artifacts() []artifact {
+	var rows []artifact
+	for _, ex := range Experiments(Quick) {
+		run := ex.Run
+		rows = append(rows, artifact{id: ex.ID, run: func(w io.Writer) error { run(w); return nil }})
 	}
-	for _, ex := range quickExperiments() {
-		ex := ex
-		t.Run(ex.id, func(t *testing.T) {
-			var a, b bytes.Buffer
-			ex.run(&a)
-			ex.run(&b)
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("two runs of %s differ:\n--- run 1 ---\n%s--- run 2 ---\n%s",
-					ex.id, a.String(), b.String())
+	return append(rows,
+		artifact{"crash", true, func(w io.Writer) error { return RunCrash(w, []string{"lsm", "kvaof"}, 8) }},
+		artifact{"wal-life", true, func(w io.Writer) error { return RunWalLife(w, 8) }},
+		artifact{"fleet", false, func(w io.Writer) error { return RunFleet(w, Quick, false) }},
+	)
+}
+
+// capture runs one artifact at the given -j under a fresh sampling
+// collector and returns its printed output, merged metrics snapshot
+// and merged metric timeline.
+func capture(t *testing.T, a artifact, jobs int) (out, metrics, timeline []byte) {
+	t.Helper()
+	defer SetJobs(Jobs())
+	SetJobs(jobs)
+	col := obs.NewCollector(false)
+	col.EnableSampling(0, 0)
+	col.Install()
+	defer col.Uninstall()
+	var o, m, tl bytes.Buffer
+	if err := a.run(&o); err != nil {
+		t.Fatalf("-j %d: %v\n%s", jobs, err, o.String())
+	}
+	if err := col.WriteMetricsJSON(&m); err != nil {
+		t.Fatalf("-j %d: metrics snapshot: %v", jobs, err)
+	}
+	if err := col.WriteTimelineJSON(&tl); err != nil {
+		t.Fatalf("-j %d: timeline: %v", jobs, err)
+	}
+	return o.Bytes(), m.Bytes(), tl.Bytes()
+}
+
+// TestExperimentsDeterministic is the determinism harness: every
+// artifact runs at -j 1 (strictly sequential, the legacy execution
+// order) and at -j 8, and its printed output, merged metrics snapshot
+// and merged timeline must be byte-identical. This is the guard that
+// lets the sim kernel and the parallel runner be optimised freely: any
+// scheduling or ordering leak into virtual-time results fails the
+// subtest of the artifact that moved.
+func TestExperimentsDeterministic(t *testing.T) {
+	for _, a := range artifacts() {
+		t.Run(a.id, func(t *testing.T) {
+			if testing.Short() && !a.short {
+				t.Skip("skipped with -short")
+			}
+			o1, m1, tl1 := capture(t, a, 1)
+			o8, m8, tl8 := capture(t, a, 8)
+			if !bytes.Equal(o1, o8) {
+				t.Errorf("output differs between -j 1 and -j 8:\n--- j1 ---\n%s--- j8 ---\n%s", o1, o8)
+			}
+			if !bytes.Equal(m1, m8) {
+				t.Errorf("merged metrics differ between -j 1 and -j 8:\n--- j1 ---\n%s--- j8 ---\n%s", m1, m8)
+			}
+			if !bytes.Equal(tl1, tl8) {
+				t.Errorf("merged timeline differs between -j 1 and -j 8 (%d vs %d bytes)", len(tl1), len(tl8))
+			}
+			if a.id != "tab1" && len(tl1) < 100 {
+				t.Errorf("merged timeline is empty: %s", tl1)
+			}
+			if a.id == "fleet" && !bytes.Contains(m1, []byte("fleet.qos.fairness")) {
+				t.Errorf("merged metrics lack the fleet.qos.fairness gauge")
 			}
 		})
 	}
 }
 
-// TestJobsInvariance runs the whole experiment suite at -j 1 (strictly
-// sequential, the legacy execution order) and at -j 8 and demands
-// byte-identical tables AND an identical merged metrics snapshot AND an
-// identical merged metric timeline. Worker parallelism must be
-// invisible in every result, sampled series included.
+// TestJobsInvariance runs the whole "all" experiment suite into one
+// collector at -j 1 and at -j 8 and demands byte-identical tables, an
+// identical merged metrics snapshot and an identical merged timeline.
+// Unlike the per-artifact harness above, it checks that metrics and
+// samples merged across experiments do not depend on the executor.
 func TestJobsInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; skipped with -short")
 	}
-	sweep := func(jobs int) (tables, metrics, timeline []byte) {
-		old := Jobs()
-		SetJobs(jobs)
-		defer SetJobs(old)
-		col := obs.NewCollector(false)
-		col.EnableSampling(0, 0)
-		col.Install()
-		defer col.Uninstall()
-		var out bytes.Buffer
-		for _, ex := range quickExperiments() {
-			ex.run(&out)
+	all := artifact{id: "all", run: func(w io.Writer) error {
+		for _, ex := range Experiments(Quick) {
+			ex.Run(w)
 		}
-		var m, tl bytes.Buffer
-		if err := col.WriteMetricsJSON(&m); err != nil {
-			t.Fatalf("jobs=%d: metrics snapshot: %v", jobs, err)
-		}
-		if err := col.WriteTimelineJSON(&tl); err != nil {
-			t.Fatalf("jobs=%d: timeline: %v", jobs, err)
-		}
-		return out.Bytes(), m.Bytes(), tl.Bytes()
-	}
-	t1, m1, tl1 := sweep(1)
-	t8, m8, tl8 := sweep(8)
-	if !bytes.Equal(t1, t8) {
+		return nil
+	}}
+	o1, m1, tl1 := capture(t, all, 1)
+	o8, m8, tl8 := capture(t, all, 8)
+	if !bytes.Equal(o1, o8) {
 		t.Errorf("table output differs between -j 1 and -j 8")
 	}
 	if !bytes.Equal(m1, m8) {

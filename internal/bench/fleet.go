@@ -1,17 +1,19 @@
 // The `bench2b fleet` experiment family: multi-device fleets of
 // simulated 2B-SSDs under tenant traffic, exercising the shard router,
 // BA-log replication, QoS slot arbitration and failover end to end.
-// Each scenario is one fleet.Run on its own sim.Group (workers =
-// -pshards), scenarios fan out through points() (so -j applies), and
-// every run doubles as an integrity gate: lost or phantom records, or
-// a determinism divergence between worker counts, fail the run.
+// Each scenario is one fleet.Run on its own single-worker sim.Group,
+// scenarios fan out through points() (so -j applies), and every run
+// doubles as an integrity gate: lost or phantom records, or a
+// determinism divergence between worker counts, fail the run.
 package bench
 
 import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
+	"time"
 
 	"twobssd/internal/fleet"
 	"twobssd/internal/sim"
@@ -62,7 +64,6 @@ func fleetBase(s Scale, seed uint64, arrival func(i int) traffic.Arrival) fleet.
 	return fleet.Config{
 		Devices: 4,
 		Policy:  fleet.Hash,
-		Workers: PartitionShards(),
 		Seed:    seed,
 		QoS:     fleet.QoSConfig{Slots: 4, BurstOps: 4, MaxInflight: 8},
 		Tenants: fleetTenants(8, fleetTenantOps(s), seed, arrival),
@@ -113,7 +114,6 @@ func fleetSmokeScenario() fleetScenario {
 	cfg := fleet.Config{
 		Devices: 2,
 		Policy:  fleet.Hash,
-		Workers: PartitionShards(),
 		Seed:    0x2B50,
 		QoS:     fleet.QoSConfig{Slots: 2, BurstOps: 4, MaxInflight: 8},
 		Tenants: fleetTenants(2, 120, 0x2B50, func(i int) traffic.Arrival {
@@ -226,4 +226,52 @@ func RunFleet(w io.Writer, s Scale, smoke bool) error {
 		return fmt.Errorf("fleet gate: %s", strings.Join(violations, "; "))
 	}
 	return nil
+}
+
+// PartitionReport records the serial-vs-partitioned comparison that
+// feeds -benchjson: the fleet-steady scenario wall-clocked on a
+// sim.Group with one worker and with one worker per host CPU, and
+// checked for result identity (the determinism bar for partitioned
+// execution).
+type PartitionReport struct {
+	Workers           int     `json:"workers"`
+	Devices           int     `json:"devices"`
+	Events            uint64  `json:"events"`
+	SerialWallNs      int64   `json:"serial_wall_ns"`
+	PartitionedWallNs int64   `json:"partitioned_wall_ns"`
+	Speedup           float64 `json:"speedup"`
+	Identical         bool    `json:"identical"`
+}
+
+// PartitionSpeedup runs the speedup probe. On a 1-CPU host both runs
+// use one worker, so Identical is still a meaningful determinism check.
+func PartitionSpeedup(s Scale) (*PartitionReport, error) {
+	run := func(workers int) (*fleet.Result, time.Duration, error) {
+		cfg := fleetScenarios(s)[0].cfg // fleet-steady
+		cfg.Workers = workers
+		t0 := time.Now()
+		res, err := fleet.Run(cfg)
+		return res, time.Since(t0), err
+	}
+	workers := runtime.NumCPU()
+	serial, serialWall, err := run(1)
+	if err != nil {
+		return nil, fmt.Errorf("partition probe: %w", err)
+	}
+	part, partWall, err := run(workers)
+	if err != nil {
+		return nil, fmt.Errorf("partition probe: %w", err)
+	}
+	rep := &PartitionReport{
+		Workers:           workers,
+		Devices:           len(part.Devices),
+		Events:            part.Events,
+		SerialWallNs:      serialWall.Nanoseconds(),
+		PartitionedWallNs: partWall.Nanoseconds(),
+		Identical:         reflect.DeepEqual(serial, part),
+	}
+	if partWall > 0 {
+		rep.Speedup = float64(serialWall) / float64(partWall)
+	}
+	return rep, nil
 }

@@ -2,89 +2,36 @@ package bench
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
-
-	"twobssd/internal/obs"
 )
 
-// TestFleetGate runs the CI smoke fleet (crash + takeover) and the
-// full scenario family once: any lost/phantom record, missed failover
-// or determinism divergence surfaces as a non-nil error here exactly
-// as it would fail `bench2b fleet`.
+// TestFleetGate runs the CI smoke fleet (crash + takeover): any
+// lost/phantom record, missed failover or determinism divergence
+// surfaces as a non-nil error here exactly as it would fail `bench2b
+// fleet-smoke`. The full family's gate runs in the fleet row of
+// TestExperimentsDeterministic.
 func TestFleetGate(t *testing.T) {
 	var out bytes.Buffer
 	if err := RunFleet(&out, Quick, true); err != nil {
 		t.Fatalf("fleet-smoke: %v\n%s", err, out.String())
 	}
-	if testing.Short() {
-		return
-	}
-	out.Reset()
-	if err := RunFleet(&out, Quick, false); err != nil {
-		t.Fatalf("fleet: %v\n%s", err, out.String())
-	}
 }
 
-// TestFleetJobsInvariance demands the whole fleet family — tables,
-// merged metrics snapshot, and merged metric timeline — be
-// byte-identical at -j 1 vs -j 8 and under the partitioned executor
-// (-pshards 2, which also runs every fleet's sim.Group with 2
-// workers). Cross-device links must not leak host scheduling into any
-// observable result.
-func TestFleetJobsInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full fleet sweep; skipped with -short")
+// TestPartitionSpeedupReport checks the -benchjson probe: both runs
+// complete, the identity check holds, and the report fields are sane.
+func TestPartitionSpeedupReport(t *testing.T) {
+	rep, err := PartitionSpeedup(Quick)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sweep := func(jobs, shards int) (tables, metrics, timeline []byte) {
-		oldJ, oldS := Jobs(), PartitionShards()
-		SetJobs(jobs)
-		SetPartitionShards(shards)
-		defer func() {
-			SetJobs(oldJ)
-			SetPartitionShards(oldS)
-		}()
-		col := obs.NewCollector(false)
-		col.EnableSampling(0, 0)
-		col.Install()
-		defer col.Uninstall()
-		var out bytes.Buffer
-		if err := RunFleet(&out, Quick, false); err != nil {
-			t.Fatalf("jobs=%d shards=%d: %v", jobs, shards, err)
-		}
-		var m, tl bytes.Buffer
-		if err := col.WriteMetricsJSON(&m); err != nil {
-			t.Fatalf("jobs=%d shards=%d: metrics: %v", jobs, shards, err)
-		}
-		if err := col.WriteTimelineJSON(&tl); err != nil {
-			t.Fatalf("jobs=%d shards=%d: timeline: %v", jobs, shards, err)
-		}
-		return out.Bytes(), m.Bytes(), tl.Bytes()
+	if !rep.Identical {
+		t.Fatal("partitioned fleet diverged from serial run")
 	}
-	t1, m1, tl1 := sweep(1, 1)
-	t8, m8, tl8 := sweep(8, 1)
-	tp, mp, tlp := sweep(1, 2)
-	if !bytes.Equal(t1, t8) {
-		t.Errorf("fleet tables differ between -j 1 and -j 8")
+	if rep.Workers != runtime.NumCPU() || rep.Devices != 4 {
+		t.Fatalf("got workers=%d devices=%d, want %d/4", rep.Workers, rep.Devices, runtime.NumCPU())
 	}
-	if !bytes.Equal(m1, m8) {
-		t.Errorf("fleet merged metrics differ between -j 1 and -j 8")
-	}
-	if !bytes.Equal(tl1, tl8) {
-		t.Errorf("fleet merged timeline differs between -j 1 and -j 8 (%d vs %d bytes)", len(tl1), len(tl8))
-	}
-	if !bytes.Equal(t1, tp) {
-		t.Errorf("fleet tables differ between -pshards 1 and -pshards 2")
-	}
-	if !bytes.Equal(m1, mp) {
-		t.Errorf("fleet merged metrics differ between -pshards 1 and -pshards 2")
-	}
-	if !bytes.Equal(tl1, tlp) {
-		t.Errorf("fleet merged timeline differs between -pshards 1 and -pshards 2 (%d vs %d bytes)", len(tl1), len(tlp))
-	}
-	if len(tl1) < 100 {
-		t.Errorf("fleet merged timeline is empty: %s", tl1)
-	}
-	if !bytes.Contains(m1, []byte("fleet.qos.fairness")) {
-		t.Errorf("merged metrics lack the fleet.qos.fairness gauge")
+	if rep.Events == 0 || rep.SerialWallNs <= 0 || rep.PartitionedWallNs <= 0 || rep.Speedup <= 0 {
+		t.Fatalf("implausible report: %+v", rep)
 	}
 }

@@ -49,18 +49,7 @@ func Jobs() int {
 // goroutine — the exact legacy execution order. Otherwise each point
 // runs on its own goroutine gated by the package semaphore; a panicking
 // point re-panics on the caller after every worker has finished.
-//
-// When PartitionShards() > 1 the semaphore executor is replaced by the
-// partitioned schedule: every point is an independent simulation
-// instance (infinite lookahead), so the sim.Group window plan
-// degenerates to static round-robin shard assignment — point i runs on
-// shard i mod shards, each shard a single goroutine draining its
-// points in order. Results land by index either way, so tables are
-// identical at any shard count.
 func points[T any](n int, fn func(i int) T) []T {
-	if sh := PartitionShards(); sh > 1 && n > 1 {
-		return pointsSharded(n, sh, fn)
-	}
 	out := make([]T, n)
 	jobsMu.Lock()
 	j, s := jobsN, sem
@@ -94,47 +83,6 @@ func points[T any](n int, fn func(i int) T) []T {
 				}
 			}()
 			out[i] = fn(i)
-		}()
-	}
-	wg.Wait()
-	if pseen {
-		panic(pval)
-	}
-	return out
-}
-
-// pointsSharded runs n points on sh shard goroutines with static
-// round-robin assignment, mirroring sim.Group's worker-to-partition
-// mapping. It bypasses the -j semaphore: under -pshards the shard
-// count IS the parallelism budget for multi-instance experiments.
-func pointsSharded[T any](n, sh int, fn func(i int) T) []T {
-	out := make([]T, n)
-	if sh > n {
-		sh = n
-	}
-	var (
-		wg    sync.WaitGroup
-		pmu   sync.Mutex
-		pval  interface{}
-		pseen bool
-	)
-	wg.Add(sh)
-	for k := 0; k < sh; k++ {
-		k := k
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					pmu.Lock()
-					if !pseen {
-						pseen, pval = true, r
-					}
-					pmu.Unlock()
-				}
-			}()
-			for i := k; i < n; i += sh {
-				out[i] = fn(i)
-			}
 		}()
 	}
 	wg.Wait()

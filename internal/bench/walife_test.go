@@ -24,27 +24,3 @@ func TestWalLifeSmoke(t *testing.T) {
 		}
 	}
 }
-
-// TestWalLifeDeterminism: the full wal-life report — feature table,
-// campaign reports, metrics — is byte-identical between -j1 and -j8.
-func TestWalLifeDeterminism(t *testing.T) {
-	run := func(jobs int) string {
-		old := Jobs()
-		SetJobs(jobs)
-		defer SetJobs(old)
-		var buf bytes.Buffer
-		if err := RunWalLife(&buf, 8); err != nil {
-			t.Fatalf("RunWalLife at -j%d: %v", jobs, err)
-		}
-		return buf.String()
-	}
-	j1 := run(1)
-	j1b := run(1)
-	j8 := run(8)
-	if j1 != j1b {
-		t.Fatalf("wal-life not deterministic across identical -j1 runs")
-	}
-	if j1 != j8 {
-		t.Fatalf("wal-life differs between -j1 and -j8")
-	}
-}
