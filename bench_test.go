@@ -10,6 +10,7 @@ package twobssd_test
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"twobssd/internal/bench"
@@ -19,15 +20,23 @@ import (
 // every shape the assertions in internal/bench check.
 var benchScale = bench.Scale{LatReps: 3, AppOps: 1000, Clients: 4, Records: 300, Nodes: 150}
 
-func benchTable(b *testing.B, gen func(bench.Scale) *bench.Table) {
+// benchRunner fans each table's points out over every host CPU.
+var benchRunner = bench.NewRunner(runtime.NumCPU(), nil)
+
+func benchTable(b *testing.B, gen func(*bench.Runner, bench.Scale) *bench.Table) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		tab := gen(benchScale)
+		tab := gen(benchRunner, benchScale)
 		tab.Print(io.Discard)
 		if len(tab.Rows) == 0 {
 			b.Fatal("empty table")
 		}
 	}
+}
+
+// serial adapts a table builder that has no independent points.
+func serial(gen func(bench.Scale) *bench.Table) func(*bench.Runner, bench.Scale) *bench.Table {
+	return func(_ *bench.Runner, s bench.Scale) *bench.Table { return gen(s) }
 }
 
 // BenchmarkTable1Spec regenerates Table I (device specification).
@@ -83,7 +92,7 @@ func BenchmarkMixedWorkload(b *testing.B) { benchTable(b, bench.MixedWorkload) }
 
 // BenchmarkRecoveryDump regenerates the power-loss dump/restore report
 // (capacitor energy budget versus dump cost).
-func BenchmarkRecoveryDump(b *testing.B) { benchTable(b, bench.Recovery) }
+func BenchmarkRecoveryDump(b *testing.B) { benchTable(b, serial(bench.Recovery)) }
 
 // BenchmarkTailLatency regenerates the commit-latency tail comparison
 // (Section IV-A's "optimizes tail latencies").
@@ -91,7 +100,7 @@ func BenchmarkTailLatency(b *testing.B) { benchTable(b, bench.TailLatency) }
 
 // BenchmarkSmallRead regenerates the Section VI bulk-write/small-read
 // discussion experiment.
-func BenchmarkSmallRead(b *testing.B) { benchTable(b, bench.SmallRead) }
+func BenchmarkSmallRead(b *testing.B) { benchTable(b, serial(bench.SmallRead)) }
 
 // BenchmarkPMRComparison regenerates the Section VII extension: BA-WAL
 // on the 2B-SSD versus on an NVMe PMR device (no internal datapath).

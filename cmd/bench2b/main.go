@@ -37,8 +37,9 @@
 //
 // -j fans the independent simulation environments behind each
 // experiment data point — and the experiments themselves — out across N
-// workers (default: the number of CPUs). Every environment's virtual
-// clock is its own; results and reports are bit-identical at any -j.
+// workers (default: the number of CPUs; values below 1 mean 1). Every
+// environment's virtual clock is its own; results and reports are
+// bit-identical at any -j.
 //
 // -metrics writes a merged snapshot of every counter, gauge and latency
 // histogram the run's environments recorded. -trace writes Chrome
@@ -70,7 +71,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -82,7 +82,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sync/atomic"
+	"strings"
 	"syscall"
 	"time"
 
@@ -90,83 +90,6 @@ import (
 	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 )
-
-// crashExperiments returns the reliability artifacts. They are
-// requested by name, never by "all": a full sweep crash-cycles the
-// simulated device hundreds of times, which is a reliability gate, not
-// a paper figure. A durability violation flips failed so main can exit
-// non-zero after the reports print.
-func crashExperiments(failed *atomic.Bool) []bench.Experiment {
-	run := func(w io.Writer, names []string, pointsPer int) {
-		if err := bench.RunCrash(w, names, pointsPer); err != nil {
-			fmt.Fprintf(w, "FAIL: %v\n", err)
-			failed.Store(true)
-		}
-	}
-	return []bench.Experiment{
-		{ID: "crash", Run: func(w io.Writer) { run(w, nil, 128) }},
-		{ID: "crash-smoke", Run: func(w io.Writer) { run(w, []string{"lsm", "pglite", "walseg"}, 32) }},
-	}
-}
-
-// walLifeExperiments returns the segmented-WAL lifecycle artifacts:
-// "wal-life" is the full evaluation (feature table + 128 crash points
-// per commit mode) and "wal-life-smoke" the 32-point CI variant with a
-// byte-identity determinism check. Any durability or repair violation
-// — or smoke-run nondeterminism — flips failed so main exits non-zero.
-func walLifeExperiments(failed *atomic.Bool) []bench.Experiment {
-	return []bench.Experiment{
-		{ID: "wal-life", Run: func(w io.Writer) {
-			if err := bench.RunWalLife(w, 128); err != nil {
-				fmt.Fprintf(w, "FAIL: %v\n", err)
-				failed.Store(true)
-			}
-		}},
-		{ID: "wal-life-smoke", Run: func(w io.Writer) {
-			if err := bench.RunWalLifeSmoke(w, 32); err != nil {
-				fmt.Fprintf(w, "FAIL: %v\n", err)
-				failed.Store(true)
-			}
-		}},
-	}
-}
-
-// fuzzExperiments returns the oracle fuzzing artifacts; like the crash
-// campaigns they run only when named. A divergence between the stack
-// and the reference model flips failed so main exits non-zero after
-// the shrunk trace prints.
-func fuzzExperiments(failed *atomic.Bool, seeds int) []bench.Experiment {
-	run := func(w io.Writer, n int) {
-		if _, err := bench.RunFuzz(w, n); err != nil {
-			fmt.Fprintf(w, "FAIL: %v\n", err)
-			failed.Store(true)
-		}
-	}
-	return []bench.Experiment{
-		{ID: "fuzz", Run: func(w io.Writer) { run(w, seeds) }},
-		{ID: "fuzz-smoke", Run: func(w io.Writer) { run(w, 32) }},
-	}
-}
-
-// fleetExperiments returns the fleet-scale artifacts: "fleet" runs the
-// full multi-device scenario family (steady/bursty/diurnal/saturation
-// traffic plus an injected primary power loss on a 4-device, 8-tenant
-// fleet) and "fleet-smoke" is the CI variant (2 devices, 2 tenants,
-// one crash with follower takeover, plus a worker-count determinism
-// probe). Any lost or phantom record, missed failover, or determinism
-// divergence flips failed so main exits non-zero.
-func fleetExperiments(failed *atomic.Bool, scale bench.Scale) []bench.Experiment {
-	run := func(w io.Writer, smoke bool) {
-		if err := bench.RunFleet(w, scale, smoke); err != nil {
-			fmt.Fprintf(w, "FAIL: %v\n", err)
-			failed.Store(true)
-		}
-	}
-	return []bench.Experiment{
-		{ID: "fleet", Run: func(w io.Writer) { run(w, false) }},
-		{ID: "fleet-smoke", Run: func(w io.Writer) { run(w, true) }},
-	}
-}
 
 // expReport is one experiment's cost in the -benchjson report. Under
 // -j > 1 experiments overlap, so their wall times can sum past the
@@ -259,15 +182,14 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a host allocation profile (pprof, alloc_space) to this file after the run")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: bench2b [-full] [-j N] [-seeds N] [-metrics m.json] [-trace out.trace.json] [-benchjson b.json] [-benchgate base.json] [-obsbench o.json] [-sample D] [-timeline t.json] [-listen addr] [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "experiments: tab1 fig7a fig7b fig8a fig8b fig9 fig10 commit waf mixed recovery tail smallread pmr journal qd probe ablations all\n")
-		fmt.Fprintf(os.Stderr, "reliability (not in \"all\"): crash crash-smoke fuzz fuzz-smoke fleet fleet-smoke wal-life wal-life-smoke\n")
+		fmt.Fprintf(os.Stderr, "experiments: %s all\n", ids(bench.Experiments(bench.Quick)))
+		fmt.Fprintf(os.Stderr, "reliability (not in \"all\"): %s\n", ids(bench.Reliability(bench.Quick, *seeds)))
 	}
 	flag.Parse()
 	scale, scaleName := bench.Quick, "quick"
 	if *full {
 		scale, scaleName = bench.Full, "full"
 	}
-	bench.SetJobs(*jobs)
 
 	// Host-side profiling: the kernel's wall-clock performance is a
 	// first-class artifact (BENCH_kernel.json), so regressions must be
@@ -345,26 +267,11 @@ func main() {
 		}()
 		fmt.Fprintf(os.Stderr, "bench2b: serving observability on http://%s (interrupt to stop)\n", ln.Addr())
 	}
-	if col != nil {
-		col.Install()
-	}
 
-	var gateFailed atomic.Bool
+	gateFailed := false
 	all := bench.Experiments(scale)
-	byID := make(map[string]bench.Experiment, len(all))
-	for _, ex := range all {
-		byID[ex.ID] = ex
-	}
-	for _, ex := range crashExperiments(&gateFailed) {
-		byID[ex.ID] = ex
-	}
-	for _, ex := range fuzzExperiments(&gateFailed, *seeds) {
-		byID[ex.ID] = ex
-	}
-	for _, ex := range fleetExperiments(&gateFailed, scale) {
-		byID[ex.ID] = ex
-	}
-	for _, ex := range walLifeExperiments(&gateFailed) {
+	byID := make(map[string]bench.Experiment)
+	for _, ex := range append(bench.Reliability(scale, *seeds), all...) {
 		byID[ex.ID] = ex
 	}
 	var selected []bench.Experiment
@@ -392,10 +299,14 @@ func main() {
 		selected = append(selected, ex)
 	}
 
+	runner := bench.NewRunner(*jobs, col)
+	walls, expEvents, expMallocs := account(selected, runner, live, col)
 	var ms0 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	walls, expEvents, expMallocs := runAll(selected, *jobs, live, col)
+	if err := runner.Run(os.Stdout, selected); err != nil {
+		gateFailed = true
+	}
 	wallTotal := time.Since(start)
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
@@ -414,7 +325,6 @@ func main() {
 	}
 
 	if col != nil {
-		col.Uninstall()
 		if metricsFile != nil {
 			writeReport(metricsFile, col.WriteMetricsJSON)
 		}
@@ -434,7 +344,7 @@ func main() {
 				Scale:     scaleName,
 				GoVersion: runtime.Version(),
 				NumCPU:    runtime.NumCPU(),
-				Jobs:      *jobs,
+				Jobs:      runner.Jobs(),
 				WallNs:    wallTotal.Nanoseconds(),
 				VirtualNs: int64(col.TotalVirtual()),
 				Events:    col.TotalEvents(),
@@ -482,7 +392,7 @@ func main() {
 			if *benchGate != "" {
 				if err := gate(rep, *benchGate, os.Stdout); err != nil {
 					fmt.Fprintf(os.Stderr, "bench2b: benchgate: %v\n", err)
-					gateFailed.Store(true)
+					gateFailed = true
 				} else {
 					fmt.Printf("benchgate: ok (%.0f events/sec, %.4f allocs/event vs %s)\n",
 						rep.EventsPerSec, rep.AllocsPerEvent, *benchGate)
@@ -490,7 +400,7 @@ func main() {
 			}
 			if !rep.Partition.Identical {
 				fmt.Fprintln(os.Stderr, "bench2b: partition probe: partitioned result diverged from serial")
-				gateFailed.Store(true)
+				gateFailed = true
 			}
 		}
 	}
@@ -509,81 +419,64 @@ func main() {
 			srv.Close()
 		}
 	}
-	if gateFailed.Load() {
+	if gateFailed {
 		fmt.Fprintln(os.Stderr, "bench2b: gate failed (durability violation, model divergence, or kernel performance regression)")
 		os.Exit(1)
 	}
 }
 
-// runAll executes the selected experiments and streams their output to
-// stdout in selection order. At -j 1 everything runs sequentially on
-// this goroutine (the legacy behavior); otherwise experiments run
-// concurrently, each into its own buffer, and buffers are printed as
-// their turn comes — output order never depends on scheduling. Returns
-// each experiment's wall time, plus — sequentially only, where the
-// deltas are unambiguous — each experiment's simulation events and
-// host allocations (nil slices under -j > 1, or without a collector
-// for the event counts). When live is non-nil, batch progress
-// (done/total, current experiment) feeds the /progress stream.
-func runAll(selected []bench.Experiment, jobs int, live *obs.LiveServer, col *obs.Collector) ([]time.Duration, []uint64, []uint64) {
+// account wraps each selected experiment's Run in place to record its
+// wall time and feed batch progress (done/total, current experiment)
+// to live when it is non-nil. When experiments run one at a time — at
+// -j 1 or for a single experiment, where the deltas are unambiguous —
+// it also records each one's simulation events and host allocations
+// (nil slices otherwise, or without a collector).
+func account(selected []bench.Experiment, runner *bench.Runner, live *obs.LiveServer, col *obs.Collector) (walls []time.Duration, events, mallocs []uint64) {
 	if live != nil {
 		live.SetTotal(len(selected))
 	}
-	step := func(ex bench.Experiment, w io.Writer) time.Duration {
-		if live != nil {
-			live.SetLabel(ex.ID)
-		}
-		t0 := time.Now()
-		ex.Run(w)
-		if live != nil {
-			live.StepDone()
-		}
-		return time.Since(t0)
+	walls = make([]time.Duration, len(selected))
+	serial := col != nil && (runner.Jobs() == 1 || len(selected) == 1)
+	if serial {
+		events = make([]uint64, len(selected))
+		mallocs = make([]uint64, len(selected))
 	}
-	walls := make([]time.Duration, len(selected))
-	if jobs <= 1 || len(selected) == 1 {
-		events := make([]uint64, len(selected))
-		mallocs := make([]uint64, len(selected))
-		var ms0, ms1 runtime.MemStats
-		for i, ex := range selected {
+	for i := range selected {
+		ex := selected[i]
+		selected[i].Run = func(r *bench.Runner, w io.Writer) error {
+			if live != nil {
+				live.SetLabel(ex.ID)
+			}
+			var ms0, ms1 runtime.MemStats
 			var ev0 uint64
-			if col != nil {
+			if serial {
 				ev0 = col.TotalEvents()
+				runtime.ReadMemStats(&ms0)
 			}
-			runtime.ReadMemStats(&ms0)
-			walls[i] = step(ex, os.Stdout)
-			runtime.ReadMemStats(&ms1)
-			if col != nil {
+			t0 := time.Now()
+			err := ex.Run(r, w)
+			walls[i] = time.Since(t0)
+			if serial {
+				runtime.ReadMemStats(&ms1)
 				events[i] = col.TotalEvents() - ev0
+				mallocs[i] = ms1.Mallocs - ms0.Mallocs
 			}
-			mallocs[i] = ms1.Mallocs - ms0.Mallocs
-		}
-		if col == nil {
-			events = nil
-		}
-		return walls, events, mallocs
-	}
-	type slot struct {
-		buf  bytes.Buffer
-		done chan struct{}
-	}
-	slots := make([]*slot, len(selected))
-	for i, ex := range selected {
-		i, ex := i, ex
-		slots[i] = &slot{done: make(chan struct{})}
-		go func() {
-			defer close(slots[i].done)
-			walls[i] = step(ex, &slots[i].buf)
-		}()
-	}
-	for _, s := range slots {
-		<-s.done
-		if _, err := io.Copy(os.Stdout, &s.buf); err != nil {
-			fmt.Fprintf(os.Stderr, "bench2b: %v\n", err)
-			os.Exit(1)
+			if live != nil {
+				live.StepDone()
+			}
+			return err
 		}
 	}
-	return walls, nil, nil
+	return walls, events, mallocs
+}
+
+// ids lists the experiments' IDs, space-separated, in order.
+func ids(exps []bench.Experiment) string {
+	names := make([]string, len(exps))
+	for i, ex := range exps {
+		names[i] = ex.ID
+	}
+	return strings.Join(names, " ")
 }
 
 func createReport(path string) *os.File {

@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"unicode"
 
 	"twobssd/internal/bench"
 )
@@ -89,5 +92,29 @@ func TestGateBadBaseline(t *testing.T) {
 	}
 	if err := gate(kernelReport{}, bad, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "parsing") {
 		t.Fatalf("malformed baseline: err = %v, want a parse error", err)
+	}
+}
+
+// The package doc is the command's manual: it must name every
+// experiment the bench registries define, so a new artifact cannot
+// ship undocumented.
+func TestDocNamesEveryExperiment(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Doc == nil {
+		t.Fatal("main.go has no package doc")
+	}
+	words := map[string]bool{}
+	for _, w := range strings.FieldsFunc(f.Doc.Text(), func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '-'
+	}) {
+		words[w] = true
+	}
+	for _, ex := range append(bench.Experiments(bench.Quick), bench.Reliability(bench.Quick, 0)...) {
+		if !words[ex.ID] {
+			t.Errorf("package doc does not name experiment %q", ex.ID)
+		}
 	}
 }

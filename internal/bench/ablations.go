@@ -13,7 +13,7 @@ import (
 // the BAR manager maps BAR1 as write-combining memory. The ablation
 // shrinks the WC burst to the raw 8B transaction size (uncombined
 // stores) and re-measures MMIO write latency.
-func AblationWriteCombining(s Scale) *Table {
+func AblationWriteCombining(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "ablation-wc", Title: "Write combining on BAR1 (ablation)",
 		XLabel: "req size", Unit: "us",
@@ -29,7 +29,7 @@ func AblationWriteCombining(s Scale) *Table {
 	}
 	sizes := []int{64, 256, 1024, 4096}
 	// One point per (size, WC on/off) cell.
-	cells := points(len(sizes)*2, func(i int) sim.Duration {
+	cells := points(r, len(sizes)*2, func(i int) sim.Duration {
 		mk := SSD2B
 		if i%2 == 1 {
 			mk = noWC
@@ -71,7 +71,7 @@ func mmioWriteWith(mk func(*sim.Env) *core.TwoBSSD, size, reps int) sim.Duration
 // AblationDoubleBuffering quantifies design decision 5: BA-WAL's
 // double buffering overlaps logging with BA_FLUSH. The ablation runs
 // the same append stream through a single pinned window.
-func AblationDoubleBuffering(s Scale) *Table {
+func AblationDoubleBuffering(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "ablation-dbuf", Title: "BA-WAL double buffering (ablation)",
 		XLabel: "config", Unit: "us total for 4-segment fill",
@@ -114,7 +114,7 @@ func AblationDoubleBuffering(s Scale) *Table {
 		st.env.Run()
 		return elapsed
 	}
-	vals := points(2, func(i int) sim.Duration { return run(i == 0) })
+	vals := points(r, 2, func(i int) sim.Duration { return run(i == 0) })
 	t.AddRow("double buffer", vals[0].Micros())
 	t.AddRow("single buffer", vals[1].Micros())
 	return t
@@ -123,7 +123,7 @@ func AblationDoubleBuffering(s Scale) *Table {
 // AblationGroupCommit quantifies design decision 7: the block-WAL
 // baselines get standard group commit. The ablation compares fsync
 // counts and throughput at 1 versus N concurrent committers.
-func AblationGroupCommit(s Scale) *Table {
+func AblationGroupCommit(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "ablation-group", Title: "Group commit on the block WAL baseline (ablation)",
 		XLabel: "clients", Unit: "",
@@ -163,7 +163,7 @@ func AblationGroupCommit(s Scale) *Table {
 			float64(stats.Flushes) / float64(stats.Commits)
 	}
 	counts := []int{1, 4, 16}
-	t.Rows = points(len(counts), func(i int) Row {
+	t.Rows = points(r, len(counts), func(i int) Row {
 		tput, fpc := run(counts[i])
 		return Row{X: strconv.Itoa(counts[i]), Vals: []float64{tput, fpc}}
 	})

@@ -116,41 +116,70 @@ func Spec() *Table {
 	return t
 }
 
-// Experiment is one runnable artifact; Run writes its tables to w.
+// Experiment is one runnable artifact; Run writes its tables to w,
+// fanning its points out through r, and returns an error when the
+// artifact's gate failed.
 type Experiment struct {
 	ID  string
-	Run func(w io.Writer)
+	Run func(r *Runner, w io.Writer) error
 }
 
 // Experiments returns every paper artifact of `bench2b all` at scale s,
 // in canonical print order.
 func Experiments(s Scale) []Experiment {
+	// tables prints each builder's table in order; tables cannot fail.
+	tables := func(id string, build ...func(*Runner, Scale) *Table) Experiment {
+		return Experiment{id, func(r *Runner, w io.Writer) error {
+			for _, b := range build {
+				b(r, s).Print(w)
+			}
+			return nil
+		}}
+	}
+	// serial adapts a builder that has no independent points.
+	serial := func(b func(Scale) *Table) func(*Runner, Scale) *Table {
+		return func(_ *Runner, s Scale) *Table { return b(s) }
+	}
 	return []Experiment{
-		{"tab1", func(w io.Writer) { Spec().Print(w) }},
-		{"fig7a", func(w io.Writer) { Fig7a(s).Print(w) }},
-		{"fig7b", func(w io.Writer) { Fig7b(s).Print(w) }},
-		{"fig8a", func(w io.Writer) { Fig8a(s).Print(w) }},
-		{"fig8b", func(w io.Writer) { Fig8b(s).Print(w) }},
-		{"fig9", func(w io.Writer) {
-			Fig9PG(s).Print(w)
-			Fig9LSM(s).Print(w)
-			Fig9AOF(s).Print(w)
+		tables("tab1", func(*Runner, Scale) *Table { return Spec() }),
+		tables("fig7a", Fig7a),
+		tables("fig7b", Fig7b),
+		tables("fig8a", Fig8a),
+		tables("fig8b", Fig8b),
+		tables("fig9", Fig9PG, Fig9LSM, Fig9AOF),
+		tables("fig10", Fig10),
+		tables("commit", CommitOverhead),
+		tables("waf", WAFReduction),
+		tables("mixed", MixedWorkload),
+		tables("recovery", serial(Recovery)),
+		tables("tail", TailLatency),
+		tables("smallread", serial(SmallRead)),
+		tables("pmr", PMRComparison),
+		tables("journal", Journaling),
+		tables("qd", QueueDepth),
+		tables("probe", serial(Probe)),
+		tables("ablations", AblationWriteCombining, AblationDoubleBuffering, AblationGroupCommit),
+	}
+}
+
+// Reliability returns the reliability gates in canonical order: the
+// crash, fuzz, fleet and wal-life sweeps, each with a CI-sized -smoke
+// variant (cmd/bench2b's doc describes them). They run only when named,
+// never in `bench2b all`, and fail on a durability violation, a model
+// divergence or nondeterminism.
+func Reliability(s Scale, seeds int) []Experiment {
+	return []Experiment{
+		{"crash", func(r *Runner, w io.Writer) error {
+			return RunCrash(r, w, []string{"wal", "lsm", "pglite", "kvaof", "jfs", "walseg"}, 128)
 		}},
-		{"fig10", func(w io.Writer) { Fig10(s).Print(w) }},
-		{"commit", func(w io.Writer) { CommitOverhead(s).Print(w) }},
-		{"waf", func(w io.Writer) { WAFReduction(s).Print(w) }},
-		{"mixed", func(w io.Writer) { MixedWorkload(s).Print(w) }},
-		{"recovery", func(w io.Writer) { Recovery(s).Print(w) }},
-		{"tail", func(w io.Writer) { TailLatency(s).Print(w) }},
-		{"smallread", func(w io.Writer) { SmallRead(s).Print(w) }},
-		{"pmr", func(w io.Writer) { PMRComparison(s).Print(w) }},
-		{"journal", func(w io.Writer) { Journaling(s).Print(w) }},
-		{"qd", func(w io.Writer) { QueueDepth(s).Print(w) }},
-		{"probe", func(w io.Writer) { Probe(s).Print(w) }},
-		{"ablations", func(w io.Writer) {
-			AblationWriteCombining(s).Print(w)
-			AblationDoubleBuffering(s).Print(w)
-			AblationGroupCommit(s).Print(w)
+		{"crash-smoke", func(r *Runner, w io.Writer) error {
+			return RunCrash(r, w, []string{"lsm", "pglite", "walseg"}, 32)
 		}},
+		{"fuzz", func(r *Runner, w io.Writer) error { _, err := RunFuzz(r, w, seeds); return err }},
+		{"fuzz-smoke", func(r *Runner, w io.Writer) error { _, err := RunFuzz(r, w, 32); return err }},
+		{"fleet", func(r *Runner, w io.Writer) error { return RunFleet(r, w, s, false) }},
+		{"fleet-smoke", func(r *Runner, w io.Writer) error { return RunFleet(r, w, s, true) }},
+		{"wal-life", func(r *Runner, w io.Writer) error { return RunWalLife(r, w, 128) }},
+		{"wal-life-smoke", func(r *Runner, w io.Writer) error { return RunWalLifeSmoke(r, w, 32) }},
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -8,6 +9,9 @@ import (
 // tiny is a minimal scale so the full experiment matrix stays fast in
 // unit tests; shape assertions use Quick where they need fidelity.
 var tiny = Scale{LatReps: 3, AppOps: 600, Clients: 4, Records: 200, Nodes: 100}
+
+// runner fans the shape tests' points out over every host CPU.
+var runner = NewRunner(runtime.NumCPU(), nil)
 
 func get(t *testing.T, tab *Table, x, series string) float64 {
 	t.Helper()
@@ -33,7 +37,7 @@ func TestSpecTable(t *testing.T) {
 }
 
 func TestFig7aShape(t *testing.T) {
-	tab := Fig7a(Quick)
+	tab := Fig7a(runner, Quick)
 	// Anchor points from the paper.
 	if v := get(t, tab, "4KB", "ULL-SSD"); v < 12 || v > 15 {
 		t.Errorf("ULL 4KB read = %.1f us, want ~13.2", v)
@@ -65,7 +69,7 @@ func TestFig7aShape(t *testing.T) {
 }
 
 func TestFig7bShape(t *testing.T) {
-	tab := Fig7b(Quick)
+	tab := Fig7b(runner, Quick)
 	if v := get(t, tab, "8B", "2B MMIO"); v < 0.6 || v > 0.7 {
 		t.Errorf("8B MMIO write = %.2f us, want 0.63", v)
 	}
@@ -94,8 +98,8 @@ func TestFig7bShape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	ra := Fig8a(tiny)
-	wb := Fig8b(tiny)
+	ra := Fig8a(runner, tiny)
+	wb := Fig8b(runner, tiny)
 	// ULL saturates PCIe at large requests.
 	if v := get(t, ra, "16MB", "ULL-SSD"); v < 2800 || v > 3300 {
 		t.Errorf("ULL read bw = %.0f MB/s, want ~3200", v)
@@ -146,9 +150,9 @@ func TestFig9Shapes(t *testing.T) {
 			t.Errorf("%s/%s: ULL (%.0f) should beat DC (%.0f)", tab.ID, x, ull, dc)
 		}
 	}
-	pg := Fig9PG(Quick)
+	pg := Fig9PG(runner, Quick)
 	check(pg, "linkbench")
-	lsmTab := Fig9LSM(Quick)
+	lsmTab := Fig9LSM(runner, Quick)
 	for _, x := range []string{"64B", "256B", "1024B"} {
 		check(lsmTab, x)
 	}
@@ -158,14 +162,14 @@ func TestFig9Shapes(t *testing.T) {
 	if g64 <= g1k {
 		t.Errorf("lsm gain should grow as payload shrinks: 64B=%.2f 1KB=%.2f", g64, g1k)
 	}
-	aof := Fig9AOF(Quick)
+	aof := Fig9AOF(runner, Quick)
 	for _, x := range []string{"64B", "256B", "1024B"} {
 		check(aof, x)
 	}
 }
 
 func TestFig10Shape(t *testing.T) {
-	tab := Fig10(Quick)
+	tab := Fig10(runner, Quick)
 	for _, r := range tab.Rows {
 		if r.Vals[0] < 0.93 || r.Vals[0] > 1.08 {
 			t.Errorf("fig10 %s = %.3f, want ~1.0 (all configs comparable)", r.X, r.Vals[0])
@@ -174,7 +178,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestCommitOverheadClaim(t *testing.T) {
-	tab := CommitOverhead(tiny)
+	tab := CommitOverhead(runner, tiny)
 	ratio := get(t, tab, "DC-SSD", "vs 2B-SSD (x)")
 	if ratio < 10 || ratio > 40 {
 		t.Errorf("DC commit overhead = %.1fx of BA, want O(26x)", ratio)
@@ -185,7 +189,7 @@ func TestCommitOverheadClaim(t *testing.T) {
 }
 
 func TestWAFReductionClaim(t *testing.T) {
-	tab := WAFReduction(tiny)
+	tab := WAFReduction(runner, tiny)
 	block := get(t, tab, "ULL-SSD", "NAND page programs")
 	ba := get(t, tab, "2B-SSD", "NAND page programs")
 	if ba >= block/3 {
@@ -194,7 +198,7 @@ func TestWAFReductionClaim(t *testing.T) {
 }
 
 func TestMixedWorkloadNoDegradation(t *testing.T) {
-	tab := MixedWorkload(Quick)
+	tab := MixedWorkload(runner, Quick)
 	alone := tab.Rows[0].Vals[0]
 	mixed := tab.Rows[1].Vals[0]
 	if mixed > alone*1.05 {
@@ -213,7 +217,7 @@ func TestRecoveryWithinBudget(t *testing.T) {
 }
 
 func TestTailLatencyShape(t *testing.T) {
-	tab := TailLatency(tiny)
+	tab := TailLatency(runner, tiny)
 	baP99 := get(t, tab, "2B-SSD", "p99")
 	dcP99 := get(t, tab, "DC-SSD", "p99")
 	if baP99*5 > dcP99 {
@@ -237,7 +241,7 @@ func TestSmallReadShape(t *testing.T) {
 }
 
 func TestPMRComparisonShape(t *testing.T) {
-	tab := PMRComparison(tiny)
+	tab := PMRComparison(runner, tiny)
 	baHost := get(t, tab, "2B-SSD (BA-WAL)", "host bytes moved per log byte")
 	pmrHost := get(t, tab, "PMR device", "host bytes moved per log byte")
 	// The 2B-SSD moves ~0 host bytes per log byte; PMR pays ~2x (DMA
@@ -256,7 +260,7 @@ func TestPMRComparisonShape(t *testing.T) {
 }
 
 func TestJournalingShape(t *testing.T) {
-	tab := Journaling(tiny)
+	tab := Journaling(runner, tiny)
 	dc := get(t, tab, "DC-SSD", "txns/s")
 	ba := get(t, tab, "2B-SSD", "txns/s")
 	if ba <= dc {
@@ -265,15 +269,15 @@ func TestJournalingShape(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	wc := AblationWriteCombining(tiny)
+	wc := AblationWriteCombining(runner, tiny)
 	if on, off := get(t, wc, "4KB", "WC on (64B bursts)"), get(t, wc, "4KB", "WC off (8B stores)"); on >= off {
 		t.Errorf("WC ablation: on=%.2f off=%.2f; combining should win", on, off)
 	}
-	db := AblationDoubleBuffering(tiny)
+	db := AblationDoubleBuffering(runner, tiny)
 	if dbl, single := db.Rows[0].Vals[0], db.Rows[1].Vals[0]; dbl >= single {
 		t.Errorf("double buffering (%.0f) should beat single (%.0f)", dbl, single)
 	}
-	gc := AblationGroupCommit(tiny)
+	gc := AblationGroupCommit(runner, tiny)
 	f1 := get(t, gc, "1", "fsyncs per commit")
 	f16 := get(t, gc, "16", "fsyncs per commit")
 	if f16 >= f1 {

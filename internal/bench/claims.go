@@ -12,7 +12,7 @@ import (
 // CommitOverhead quantifies the paper's "transaction commit overhead
 // reduced by up to 26x" claim: the time to persist one small log
 // record (append + commit) under each log-device configuration.
-func CommitOverhead(s Scale) *Table {
+func CommitOverhead(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "commit", Title: "Cost to persist a 128B log record (append+commit)",
 		XLabel: "config", Unit: "us",
@@ -67,7 +67,7 @@ func CommitOverhead(s Scale) *Table {
 		return avg
 	}
 	cfgs := []LogDevice{LogDC, LogULL, Log2B}
-	costs := points(len(cfgs), func(i int) sim.Duration { return measure(cfgs[i]) })
+	costs := points(r, len(cfgs), func(i int) sim.Duration { return measure(cfgs[i]) })
 	// measure is deterministic per configuration, so the Log2B point IS
 	// the BA reference the ratios normalize by.
 	ba := costs[2]
@@ -83,7 +83,7 @@ func CommitOverhead(s Scale) *Table {
 // BA-buffer half — and we count NAND page programs on the log device.
 // Block logging rewrites the containing 4KB page on every commit; the
 // BA-WAL programs each log page exactly once, at BA_FLUSH time.
-func WAFReduction(s Scale) *Table {
+func WAFReduction(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "waf", Title: "Log-device NAND writes for a 4MB stream of 256B commits",
 		XLabel: "config", Unit: "pages",
@@ -141,7 +141,7 @@ func WAFReduction(s Scale) *Table {
 		return fstats.NandPagewrites, records
 	}
 	cfgs := []LogDevice{LogULL, Log2B}
-	t.Rows = points(len(cfgs), func(i int) Row {
+	t.Rows = points(r, len(cfgs), func(i int) Row {
 		nand, n := run(cfgs[i])
 		return Row{X: cfgs[i].String(), Vals: []float64{float64(nand), float64(n)}}
 	})
@@ -151,7 +151,7 @@ func WAFReduction(s Scale) *Table {
 // MixedWorkload verifies the discussion-section claim that enabling
 // the memory interface does not degrade block I/O: block-read latency
 // on the 2B-SSD with and without a concurrent MMIO logging stream.
-func MixedWorkload(s Scale) *Table {
+func MixedWorkload(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "mixed", Title: "Block read latency with concurrent memory-interface traffic",
 		XLabel: "condition", Unit: "us",
@@ -198,7 +198,7 @@ func MixedWorkload(s Scale) *Table {
 		e.Run()
 		return lat
 	}
-	lats := points(2, func(i int) sim.Duration { return run(i == 1) })
+	lats := points(r, 2, func(i int) sim.Duration { return run(i == 1) })
 	t.AddRow("block only", lats[0].Micros())
 	t.AddRow("block + MMIO log", lats[1].Micros())
 	return t

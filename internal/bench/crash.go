@@ -6,8 +6,8 @@
 // persisted), and no phantom records that were never written.
 //
 // Each crash point builds the whole stack fresh on its own sim.Env, so
-// points run in parallel through the package point runner and the
-// reports are byte-identical at any -j.
+// points run in parallel through the Runner and the reports are
+// byte-identical at any -j.
 package bench
 
 import (
@@ -472,6 +472,11 @@ type crashWorkload struct {
 	tweak func(i int, plan *fault.Plan)
 }
 
+// walSeg builds the segmented-WAL lifecycle engine in the given mode.
+func walSeg(mode wal.CommitMode) func(ops int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) {
+	return func(ops int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildWalSegCrash(mode, ops) }
+}
+
 var crashWorkloads = []crashWorkload{
 	{"wal", 48, 0x2b55c0de0001, func(int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildWALCrash }, nil},
 	{"lsm", 32, 0x2b55c0de0002, buildLSMCrash, nil},
@@ -481,12 +486,15 @@ var crashWorkloads = []crashWorkload{
 	// walseg runs a full segmented-WAL lifecycle (rotation, checkpoint
 	// truncation, snapshot + chain-replay recovery) on the BA path,
 	// with dump cuts on a point subset so torn-tail repair runs too.
-	{"walseg", 48, 0x2b55c0de0006,
-		func(ops int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildWalSegCrash(wal.BA, ops) },
-		walLifeTweak},
+	{"walseg", 48, 0x2b55c0de0006, walSeg(wal.BA), walLifeTweak},
+	// The `bench2b wal-life` sweeps: the same checkpointing engine on
+	// the BA byte path and on the block+flush baseline.
+	{"walseg-ba", 48, 0x2b55c0de0106, walSeg(wal.BA), walLifeTweak},
+	{"walseg-sync", 48, 0x2b55c0de0107, walSeg(wal.Sync), nil},
 }
 
-// CrashWorkloads lists the crash-campaign workload names in run order.
+// CrashWorkloads lists every crash-campaign workload name in table
+// order.
 func CrashWorkloads() []string {
 	names := make([]string, len(crashWorkloads))
 	for i, w := range crashWorkloads {
@@ -513,17 +521,13 @@ func NewCrashCampaign(workload string, pts int) (*fault.Campaign, error) {
 	return nil, fmt.Errorf("bench: unknown crash workload %q", workload)
 }
 
-// RunCrash sweeps pointsPer crash points over each named workload (all
-// of them when names is nil), streams each campaign's report to w, and
-// returns an error when any point violated the durability contract.
-// Points fan out through the package point runner, so -j applies; the
-// reports are byte-identical at any parallelism.
-func RunCrash(w io.Writer, names []string, pointsPer int) error {
-	if names == nil {
-		names = CrashWorkloads()
-	}
+// RunCrash sweeps pointsPer crash points over each named workload,
+// streams each campaign's report to w, and returns an error when any
+// point violated the durability contract. Points fan out through r;
+// the reports are byte-identical at any parallelism.
+func RunCrash(r *Runner, w io.Writer, names []string, pointsPer int) error {
 	parallelFor := func(n int, fn func(i int)) {
-		points(n, func(i int) struct{} { fn(i); return struct{}{} })
+		points(r, n, func(i int) struct{} { fn(i); return struct{}{} })
 	}
 	violations := 0
 	for _, name := range names {

@@ -16,7 +16,7 @@ import (
 // A short sweep over every workload must hold the durability contract.
 func TestCrashCampaignsSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunCrash(&buf, nil, 6); err != nil {
+	if err := RunCrash(runner, &buf, CrashWorkloads(), 6); err != nil {
 		t.Fatalf("RunCrash: %v\n%s", err, buf.String())
 	}
 	out := buf.String()

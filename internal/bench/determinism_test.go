@@ -12,9 +12,8 @@ import (
 // scale whose printed output, merged metrics and merged timeline must
 // not depend on the executor.
 type artifact struct {
-	id    string
+	Experiment
 	short bool // also runs under -short (keeps the parallel executor under -race in CI)
-	run   func(io.Writer) error
 }
 
 // artifacts lists every bench2b "all" experiment at Quick scale, in
@@ -22,29 +21,26 @@ type artifact struct {
 func artifacts() []artifact {
 	var rows []artifact
 	for _, ex := range Experiments(Quick) {
-		run := ex.Run
-		rows = append(rows, artifact{id: ex.ID, run: func(w io.Writer) error { run(w); return nil }})
+		rows = append(rows, artifact{Experiment: ex})
 	}
 	return append(rows,
-		artifact{"crash", true, func(w io.Writer) error { return RunCrash(w, []string{"lsm", "kvaof"}, 8) }},
-		artifact{"wal-life", true, func(w io.Writer) error { return RunWalLife(w, 8) }},
-		artifact{"fleet", false, func(w io.Writer) error { return RunFleet(w, Quick, false) }},
+		artifact{Experiment{"crash", func(r *Runner, w io.Writer) error {
+			return RunCrash(r, w, []string{"lsm", "kvaof"}, 8)
+		}}, true},
+		artifact{Experiment{"wal-life", func(r *Runner, w io.Writer) error { return RunWalLife(r, w, 8) }}, true},
+		artifact{Experiment{"fleet", func(r *Runner, w io.Writer) error { return RunFleet(r, w, Quick, false) }}, false},
 	)
 }
 
-// capture runs one artifact at the given -j under a fresh sampling
-// collector and returns its printed output, merged metrics snapshot
-// and merged metric timeline.
-func capture(t *testing.T, a artifact, jobs int) (out, metrics, timeline []byte) {
+// capture runs the experiments through one Runner at the given -j
+// under a fresh sampling collector and returns their printed output,
+// merged metrics snapshot and merged metric timeline.
+func capture(t *testing.T, exps []Experiment, jobs int) (out, metrics, timeline []byte) {
 	t.Helper()
-	defer SetJobs(Jobs())
-	SetJobs(jobs)
 	col := obs.NewCollector(false)
 	col.EnableSampling(0, 0)
-	col.Install()
-	defer col.Uninstall()
 	var o, m, tl bytes.Buffer
-	if err := a.run(&o); err != nil {
+	if err := NewRunner(jobs, col).Run(&o, exps); err != nil {
 		t.Fatalf("-j %d: %v\n%s", jobs, err, o.String())
 	}
 	if err := col.WriteMetricsJSON(&m); err != nil {
@@ -65,12 +61,12 @@ func capture(t *testing.T, a artifact, jobs int) (out, metrics, timeline []byte)
 // subtest of the artifact that moved.
 func TestExperimentsDeterministic(t *testing.T) {
 	for _, a := range artifacts() {
-		t.Run(a.id, func(t *testing.T) {
+		t.Run(a.ID, func(t *testing.T) {
 			if testing.Short() && !a.short {
 				t.Skip("skipped with -short")
 			}
-			o1, m1, tl1 := capture(t, a, 1)
-			o8, m8, tl8 := capture(t, a, 8)
+			o1, m1, tl1 := capture(t, []Experiment{a.Experiment}, 1)
+			o8, m8, tl8 := capture(t, []Experiment{a.Experiment}, 8)
 			if !bytes.Equal(o1, o8) {
 				t.Errorf("output differs between -j 1 and -j 8:\n--- j1 ---\n%s--- j8 ---\n%s", o1, o8)
 			}
@@ -80,33 +76,29 @@ func TestExperimentsDeterministic(t *testing.T) {
 			if !bytes.Equal(tl1, tl8) {
 				t.Errorf("merged timeline differs between -j 1 and -j 8 (%d vs %d bytes)", len(tl1), len(tl8))
 			}
-			if a.id != "tab1" && len(tl1) < 100 {
+			if a.ID != "tab1" && len(tl1) < 100 {
 				t.Errorf("merged timeline is empty: %s", tl1)
 			}
-			if a.id == "fleet" && !bytes.Contains(m1, []byte("fleet.qos.fairness")) {
+			if a.ID == "fleet" && !bytes.Contains(m1, []byte("fleet.qos.fairness")) {
 				t.Errorf("merged metrics lack the fleet.qos.fairness gauge")
 			}
 		})
 	}
 }
 
-// TestJobsInvariance runs the whole "all" experiment suite into one
-// collector at -j 1 and at -j 8 and demands byte-identical tables, an
-// identical merged metrics snapshot and an identical merged timeline.
-// Unlike the per-artifact harness above, it checks that metrics and
-// samples merged across experiments do not depend on the executor.
+// TestJobsInvariance runs the whole "all" experiment suite through one
+// Runner into one collector at -j 1 (experiments in order) and at -j 8
+// (experiments concurrently, as bench2b runs them) and demands
+// byte-identical tables, an identical merged metrics snapshot and an
+// identical merged timeline. Unlike the per-artifact harness above, it
+// checks that metrics and samples merged across experiments do not
+// depend on the executor.
 func TestJobsInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; skipped with -short")
 	}
-	all := artifact{id: "all", run: func(w io.Writer) error {
-		for _, ex := range Experiments(Quick) {
-			ex.Run(w)
-		}
-		return nil
-	}}
-	o1, m1, tl1 := capture(t, all, 1)
-	o8, m8, tl8 := capture(t, all, 8)
+	o1, m1, tl1 := capture(t, Experiments(Quick), 1)
+	o8, m8, tl8 := capture(t, Experiments(Quick), 8)
 	if !bytes.Equal(o1, o8) {
 		t.Errorf("table output differs between -j 1 and -j 8")
 	}

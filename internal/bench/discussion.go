@@ -16,7 +16,7 @@ import (
 // write per log page "optimizes tail latencies": the distribution of
 // per-commit latencies for concurrent committers on a block WAL versus
 // BA-WAL.
-func TailLatency(s Scale) *Table {
+func TailLatency(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "tail", Title: "Commit latency distribution (128B records, concurrent clients)",
 		XLabel: "config", Unit: "us",
@@ -75,7 +75,7 @@ func TailLatency(s Scale) *Table {
 		return h
 	}
 	cfgs := []LogDevice{LogDC, LogULL, Log2B}
-	t.Rows = points(len(cfgs), func(i int) Row {
+	t.Rows = points(r, len(cfgs), func(i int) Row {
 		h := run(cfgs[i])
 		return Row{X: cfgs[i].String(), Vals: []float64{h.Mean().Micros(), h.P50().Micros(),
 			h.P99().Micros(), h.P999().Micros(), h.Max().Micros()}}
@@ -158,7 +158,7 @@ func SmallRead(s Scale) *Table {
 // capacitor-backed commits; only the 2B-SSD has an internal
 // NVRAM<->NAND datapath, so the PMR device pays a host round trip
 // (DMA read + block write) for every filled segment.
-func PMRComparison(s Scale) *Table {
+func PMRComparison(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "pmr", Title: "2B-SSD vs PMR device: BA-style logging (Section VII)",
 		XLabel: "device", Unit: "",
@@ -219,7 +219,7 @@ func PMRComparison(s Scale) *Table {
 			float64(hostBytes) / float64(appended)
 	}
 	modes := []wal.CommitMode{wal.BA, wal.PMR}
-	t.Rows = points(len(modes), func(i int) Row {
+	t.Rows = points(r, len(modes), func(i int) Row {
 		tput, host := run(modes[i])
 		x := "2B-SSD (BA-WAL)"
 		if modes[i] == wal.PMR {
@@ -234,7 +234,7 @@ func PMRComparison(s Scale) *Table {
 // IV: "2B-SSD is also a good fit for file system journaling"): a
 // jbd2-style metadata journal committing 1-4 block transactions, block
 // WAL versus BA-WAL.
-func Journaling(s Scale) *Table {
+func Journaling(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "journal", Title: "File-system journaling (jbd2-style), txns/s",
 		XLabel: "config", Unit: "",
@@ -300,7 +300,7 @@ func Journaling(s Scale) *Table {
 			float64(elapsed.Micros()) / float64(txns)
 	}
 	cfgs := []LogDevice{LogDC, LogULL, Log2B}
-	t.Rows = points(len(cfgs), func(i int) Row {
+	t.Rows = points(r, len(cfgs), func(i int) Row {
 		tput, avg := run(cfgs[i])
 		return Row{X: cfgs[i].String(), Vals: []float64{tput, avg}}
 	})
@@ -310,7 +310,7 @@ func Journaling(s Scale) *Table {
 // QueueDepth is an extension beyond the paper's QD-1 sweeps: 4 KB read
 // IOPS versus queue depth on both block baselines, showing where each
 // device saturates (the paper's Fig 7/8 fix QD=1).
-func QueueDepth(s Scale) *Table {
+func QueueDepth(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "qd", Title: "4KB random-read IOPS vs queue depth (extension)",
 		XLabel: "queue depth", Unit: "kIOPS",
@@ -356,7 +356,7 @@ func QueueDepth(s Scale) *Table {
 	}
 	qds := []int{1, 2, 4, 8, 16, 32}
 	// One point per (queue depth, device) cell.
-	cells := points(len(qds)*2, func(i int) float64 {
+	cells := points(r, len(qds)*2, func(i int) float64 {
 		mk := DC
 		if i%2 == 1 {
 			mk = ULL

@@ -25,7 +25,7 @@ func sizeLabel(n int) string {
 
 // Fig7a reproduces the read-latency sweep: block reads on DC-SSD and
 // ULL-SSD versus MMIO and read-DMA on the 2B-SSD.
-func Fig7a(s Scale) *Table {
+func Fig7a(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "fig7a", Title: "Read latency vs request size (QD1)",
 		XLabel: "req size", Unit: "us",
@@ -35,7 +35,7 @@ func Fig7a(s Scale) *Table {
 			"readDMA beats plain MMIO from ~2KB (paper: 2.6x at 4KB).",
 		},
 	}
-	t.Rows = points(len(latSizes), func(i int) Row {
+	t.Rows = points(r, len(latSizes), func(i int) Row {
 		size := latSizes[i]
 		dc := fio.BlockReadLatency(DC, size, s.LatReps)
 		ull := fio.BlockReadLatency(ULL, size, s.LatReps)
@@ -48,7 +48,7 @@ func Fig7a(s Scale) *Table {
 
 // Fig7b reproduces the write-latency sweep: block writes versus MMIO
 // and persistent MMIO (MMIO + BA_SYNC) on the 2B-SSD.
-func Fig7b(s Scale) *Table {
+func Fig7b(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "fig7b", Title: "Write latency vs request size (QD1)",
 		XLabel: "req size", Unit: "us",
@@ -58,7 +58,7 @@ func Fig7b(s Scale) *Table {
 			"persistent MMIO +15% small, +47% at 4KB, still under ULL's 10us.",
 		},
 	}
-	t.Rows = points(len(latSizes), func(i int) Row {
+	t.Rows = points(r, len(latSizes), func(i int) Row {
 		size := latSizes[i]
 		dc := fio.BlockWriteLatency(DC, size, s.LatReps)
 		ull := fio.BlockWriteLatency(ULL, size, s.LatReps)
@@ -71,7 +71,7 @@ func Fig7b(s Scale) *Table {
 
 // Fig8a reproduces the read-bandwidth sweep: block reads versus the
 // 2B-SSD internal datapath (BA_PIN).
-func Fig8a(s Scale) *Table {
+func Fig8a(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "fig8a", Title: "Read bandwidth vs request size (QD1)",
 		XLabel: "req size", Unit: "MB/s",
@@ -81,7 +81,7 @@ func Fig8a(s Scale) *Table {
 			"~1GB/s below ULL at >=4MB; DC approaches 2B at large sizes.",
 		},
 	}
-	t.Rows = points(len(bwSizes), func(i int) Row {
+	t.Rows = points(r, len(bwSizes), func(i int) Row {
 		size := bwSizes[i]
 		dc := fio.BlockBandwidth(DC, size, false)
 		ull := fio.BlockBandwidth(ULL, size, false)
@@ -93,7 +93,7 @@ func Fig8a(s Scale) *Table {
 
 // Fig8b reproduces the write-bandwidth sweep: block writes versus the
 // internal datapath (BA_FLUSH).
-func Fig8b(s Scale) *Table {
+func Fig8b(r *Runner, s Scale) *Table {
 	t := &Table{
 		ID: "fig8b", Title: "Write bandwidth vs request size (QD1)",
 		XLabel: "req size", Unit: "MB/s",
@@ -103,7 +103,7 @@ func Fig8b(s Scale) *Table {
 			"DC by ~700MB/s at >=4MB (2.2 vs 1.5 GB/s).",
 		},
 	}
-	t.Rows = points(len(bwSizes), func(i int) Row {
+	t.Rows = points(r, len(bwSizes), func(i int) Row {
 		size := bwSizes[i]
 		dc := fio.BlockBandwidth(DC, size, true)
 		ull := fio.BlockBandwidth(ULL, size, true)

@@ -185,14 +185,14 @@ func runFleetScenario(sc fleetScenario) fleetOutcome {
 // scenario lost or phantomed a record, failed to fail over, or — the
 // smoke's extra determinism bar — produced a different result at a
 // different sim.Group worker count.
-func RunFleet(w io.Writer, s Scale, smoke bool) error {
+func RunFleet(r *Runner, w io.Writer, s Scale, smoke bool) error {
 	var scens []fleetScenario
 	if smoke {
 		scens = []fleetScenario{fleetSmokeScenario()}
 	} else {
 		scens = fleetScenarios(s)
 	}
-	outs := points(len(scens), func(i int) fleetOutcome {
+	outs := points(r, len(scens), func(i int) fleetOutcome {
 		return runFleetScenario(scens[i])
 	})
 	var violations []string

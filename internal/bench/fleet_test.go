@@ -13,7 +13,7 @@ import (
 // TestExperimentsDeterministic.
 func TestFleetGate(t *testing.T) {
 	var out bytes.Buffer
-	if err := RunFleet(&out, Quick, true); err != nil {
+	if err := RunFleet(runner, &out, Quick, true); err != nil {
 		t.Fatalf("fleet-smoke: %v\n%s", err, out.String())
 	}
 }

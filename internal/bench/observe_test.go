@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -14,10 +15,11 @@ import (
 // cover every instrumented stage of the datapath.
 func TestProbeStageCoverage(t *testing.T) {
 	col := obs.NewCollector(true)
-	col.Install()
-	defer col.Uninstall()
-
-	tab := Probe(Quick)
+	var tab *Table
+	probe := Experiment{"probe", func(*Runner, io.Writer) error { tab = Probe(Quick); return nil }}
+	if err := NewRunner(1, col).Run(io.Discard, []Experiment{probe}); err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) == 0 {
 		t.Fatal("probe produced no rows")
 	}

@@ -236,46 +236,25 @@ func walLifeTable() (*Table, error) {
 // the walseg crash campaigns on both modes with pointsPer crash points
 // each. Returns an error when any point loses a committed record,
 // recovers a phantom, or fails a torn-tail repair.
-func RunWalLife(w io.Writer, pointsPer int) error {
+func RunWalLife(r *Runner, w io.Writer, pointsPer int) error {
 	t, err := walLifeTable()
 	if err != nil {
 		return err
 	}
 	t.Print(w)
-	parallelFor := func(n int, fn func(i int)) {
-		points(n, func(i int) struct{} { fn(i); return struct{}{} })
-	}
-	violations := 0
-	for _, name := range WalLifeWorkloads() {
-		c, err := NewWalLifeCampaign(name, pointsPer)
-		if err != nil {
-			return err
-		}
-		rep, err := c.Run(parallelFor)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteText(w); err != nil {
-			return err
-		}
-		violations += len(rep.Violations())
-	}
-	if violations > 0 {
-		return fmt.Errorf("bench: %d wal-life crash points violated the durability contract", violations)
-	}
-	return nil
+	return RunCrash(r, w, []string{"walseg-ba", "walseg-sync"}, pointsPer)
 }
 
 // RunWalLifeSmoke is the CI gate: a smaller sweep executed twice, with
 // the two reports compared byte for byte before the first is emitted —
 // any nondeterminism in the lifecycle fails the job alongside any
 // durability or repair violation.
-func RunWalLifeSmoke(w io.Writer, pointsPer int) error {
+func RunWalLifeSmoke(r *Runner, w io.Writer, pointsPer int) error {
 	var a, b bytes.Buffer
-	if err := RunWalLife(&a, pointsPer); err != nil {
+	if err := RunWalLife(r, &a, pointsPer); err != nil {
 		return err
 	}
-	if err := RunWalLife(&b, pointsPer); err != nil {
+	if err := RunWalLife(r, &b, pointsPer); err != nil {
 		return err
 	}
 	if a.String() != b.String() {

@@ -11,7 +11,7 @@ import (
 // violates the durability contract.
 func TestWalLifeSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunWalLife(&buf, 8); err != nil {
+	if err := RunWalLife(runner, &buf, 8); err != nil {
 		t.Fatalf("RunWalLife: %v\n%s", err, buf.String())
 	}
 	out := buf.String()

@@ -282,38 +282,3 @@ func walLifeTweak(i int, plan *fault.Plan) {
 		plan.CutDumpAfterPages = 1 + i%7
 	}
 }
-
-// walLifeWorkloads are the lifecycle sweeps behind `bench2b wal-life`:
-// the same checkpointing engine on the BA byte path and on the
-// block+flush baseline.
-var walLifeWorkloads = []crashWorkload{
-	{"walseg-ba", 48, 0x2b55c0de0106,
-		func(ops int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildWalSegCrash(wal.BA, ops) },
-		walLifeTweak},
-	{"walseg-sync", 48, 0x2b55c0de0107,
-		func(ops int) func(*sim.Env, *sim.Proc) (fault.Cycle, error) { return buildWalSegCrash(wal.Sync, ops) },
-		nil},
-}
-
-// WalLifeWorkloads lists the wal-life campaign names in run order.
-func WalLifeWorkloads() []string {
-	names := make([]string, len(walLifeWorkloads))
-	for i, w := range walLifeWorkloads {
-		names[i] = w.name
-	}
-	return names
-}
-
-// NewWalLifeCampaign builds the named lifecycle campaign with the
-// given number of crash points.
-func NewWalLifeCampaign(name string, pts int) (*fault.Campaign, error) {
-	for _, w := range walLifeWorkloads {
-		if w.name == name {
-			return &fault.Campaign{
-				Name: w.name, Points: pts, Ops: w.ops, Seed: w.seed,
-				Build: w.build(w.ops), Tweak: w.tweak,
-			}, nil
-		}
-	}
-	return nil, fmt.Errorf("bench: unknown wal-life workload %q", name)
-}

@@ -1,11 +1,8 @@
 package fleet
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
-	"twobssd/internal/obs"
 	"twobssd/internal/sim"
 	"twobssd/internal/traffic"
 )
@@ -138,53 +135,6 @@ func TestFleetFailover(t *testing.T) {
 	}
 	if !sawTakeover {
 		t.Fatal("no tenant rerouted traffic to its follower")
-	}
-}
-
-// The whole Result — every counter, percentile, and event count — must
-// be byte-identical at any worker count (the partitioned-DES claim), and
-// so must the merged metrics snapshot and the sampled metric timeline
-// an installed collector records.
-func TestFleetWorkersInvariance(t *testing.T) {
-	base := testConfig(4, 6, 120)
-	base.Crash = &CrashSpec{Device: -1, At: sim.Time(2 * sim.Millisecond)}
-	run := func(workers int) (res *Result, metrics, timeline []byte) {
-		col := obs.NewCollector(false)
-		col.EnableSampling(0, 0)
-		col.Install()
-		defer col.Uninstall()
-		cfg := base
-		cfg.Workers = workers
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m, tl bytes.Buffer
-		if err := col.WriteMetricsJSON(&m); err != nil {
-			t.Fatalf("workers=%d: metrics: %v", workers, err)
-		}
-		if err := col.WriteTimelineJSON(&tl); err != nil {
-			t.Fatalf("workers=%d: timeline: %v", workers, err)
-		}
-		return res, m.Bytes(), tl.Bytes()
-	}
-	ref, refM, refTL := run(1)
-	if len(refTL) < 100 {
-		t.Fatalf("sampled timeline is empty: %s", refTL)
-	}
-	for _, workers := range []int{4, 8} {
-		res, m, tl := run(workers)
-		if !reflect.DeepEqual(ref, res) {
-			t.Fatalf("workers=%d result diverged from workers=1:\n%+v\nvs\n%+v",
-				workers, ref, res)
-		}
-		if !bytes.Equal(refM, m) {
-			t.Fatalf("workers=%d merged metrics diverged from workers=1:\n%s\nvs\n%s", workers, refM, m)
-		}
-		if !bytes.Equal(refTL, tl) {
-			t.Fatalf("workers=%d merged timeline diverged from workers=1 (%d vs %d bytes)",
-				workers, len(refTL), len(tl))
-		}
 	}
 }
 
