@@ -32,8 +32,9 @@ type Runner struct {
 
 // NewRunner returns a runner that runs at most jobs points at once
 // (minimum 1). When col is non-nil, Run collects every environment its
-// experiments create into col. The collector hook (obs.OnNewSet) is
-// process-wide, so runs that carry collectors must not overlap.
+// experiments create into col. Collectors see every environment the
+// process creates while they are installed, so runs that overlap
+// collect each other's environments too.
 func NewRunner(jobs int, col *obs.Collector) *Runner {
 	if jobs < 1 {
 		jobs = 1

@@ -79,6 +79,10 @@ func TestRestoreDetectsCorruptedDump(t *testing.T) {
 		if !errors.Is(err, integrity.ErrPageCorrupt) {
 			t.Errorf("power on over corrupted dump: err = %v, want ErrPageCorrupt", err)
 		}
+		// The corrupt page never reached its BA-buffer frame.
+		if bytes.Equal(s.babuf[:ps], s.Device().Flash().PeekPage(ppa)) {
+			t.Error("restore copied the corrupt dump page into the BA-buffer")
+		}
 	})
 	e.Run()
 }

@@ -167,11 +167,19 @@ func (s *TwoBSSD) PowerLoss(p *sim.Proc) (DumpReport, error) {
 
 // scrambleVolatile models DRAM content loss at power-off.
 func (s *TwoBSSD) scrambleVolatile() {
-	for i := range s.babuf {
-		s.babuf[i] = 0xDE
+	fill(s.babuf, 0xDE)
+	clear(s.table)
+}
+
+// fill sets every byte of b to v: one store, then doubling copies that
+// run at memmove speed.
+func fill(b []byte, v byte) {
+	if len(b) == 0 {
+		return
 	}
-	for i := range s.table {
-		s.table[i] = nil
+	b[0] = v
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
 	}
 }
 
@@ -198,42 +206,42 @@ func (r *recovery) dumpImage(p *sim.Proc) error {
 			firstErr = err
 		}
 	}
+	dump := func(w *sim.Proc, b int) {
+		defer wg.Done()
+		blk := r.dumpBlocks[b]
+		base := nand.PPA(uint64(blk) * uint64(fc.PagesPerBlock))
+		pg := 0
+		for i := b * per; i < (b+1)*per && i < s.BufferPages(); i++ {
+			if firstErr != nil {
+				return
+			}
+			if s.inj.DumpCut(pagesDumped) {
+				fail(errors.New("capacitors cut mid-dump"))
+				return
+			}
+			page := s.babuf[i*ps : (i+1)*ps]
+			if err := s.dev.Flash().ProgramPageTagged(w, base+nand.PPA(pg), page, integrity.PageCRC(page)); err != nil {
+				fail(fmt.Errorf("dump program: %w", err))
+				return
+			}
+			pagesDumped++
+			pg++
+		}
+		if b == 0 && firstErr == nil {
+			if s.inj.DumpCut(pagesDumped) {
+				fail(errors.New("capacitors cut before metadata page"))
+				return
+			}
+			meta := r.encodeMeta()
+			if err := s.dev.Flash().ProgramPageTagged(w, base+nand.PPA(pg), meta, integrity.PageCRC(meta)); err != nil {
+				fail(fmt.Errorf("dump meta program: %w", err))
+				return
+			}
+			pagesDumped++
+		}
+	}
 	for b := 0; b < nblocks; b++ {
-		b := b
-		s.env.Go(fmt.Sprintf("2bssd.dump%d", b), func(w *sim.Proc) {
-			defer wg.Done()
-			blk := r.dumpBlocks[b]
-			base := nand.PPA(uint64(blk) * uint64(fc.PagesPerBlock))
-			pg := 0
-			for i := b * per; i < (b+1)*per && i < s.BufferPages(); i++ {
-				if firstErr != nil {
-					return
-				}
-				if s.inj.DumpCut(pagesDumped) {
-					fail(errors.New("capacitors cut mid-dump"))
-					return
-				}
-				page := s.babuf[i*ps : (i+1)*ps]
-				if err := s.dev.Flash().ProgramPageTagged(w, base+nand.PPA(pg), page, integrity.PageCRC(page)); err != nil {
-					fail(fmt.Errorf("dump program: %w", err))
-					return
-				}
-				pagesDumped++
-				pg++
-			}
-			if b == 0 && firstErr == nil {
-				if s.inj.DumpCut(pagesDumped) {
-					fail(errors.New("capacitors cut before metadata page"))
-					return
-				}
-				meta := r.encodeMeta()
-				if err := s.dev.Flash().ProgramPageTagged(w, base+nand.PPA(pg), meta, integrity.PageCRC(meta)); err != nil {
-					fail(fmt.Errorf("dump meta program: %w", err))
-					return
-				}
-				pagesDumped++
-			}
-		})
+		s.env.GoIdx("2bssd.dump", b, dump)
 	}
 	wg.Wait(p)
 	return firstErr
@@ -254,20 +262,23 @@ func (s *TwoBSSD) PowerOn(p *sim.Proc) error {
 		}
 		s.rec.dumpValid = false
 	} else {
-		for i := range s.babuf {
-			s.babuf[i] = 0
-		}
+		clear(s.babuf)
 	}
 	s.rec.rearm(p)
 	return nil
 }
 
 // restoreImage loads metadata and BA-buffer contents from the dump area.
+// Each worker reads its pages into one scratch page of its own and
+// copies a page into the BA-buffer only after its integrity check
+// passes, so a corrupt dump page never reaches the BA-buffer.
 func (r *recovery) restoreImage(p *sim.Proc) error {
 	s := r.s
 	ps := s.PageSize()
 	per := r.pagesPerBlock()
 	fc := s.dev.Flash().Config()
+	nblocks := len(r.dumpBlocks)
+	scratch := make([]byte, nblocks*ps)
 
 	// Metadata sits after block 0's data slice.
 	metaPg := per
@@ -275,7 +286,8 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 		metaPg = s.BufferPages()
 	}
 	base0 := nand.PPA(uint64(r.dumpBlocks[0]) * uint64(fc.PagesPerBlock))
-	metaBuf, tag, tagged, _, err := s.dev.Flash().ReadPageTagged(p, base0+nand.PPA(metaPg))
+	metaBuf := scratch[:ps]
+	tag, tagged, _, err := s.dev.Flash().ReadPageTaggedInto(p, base0+nand.PPA(metaPg), metaBuf)
 	if err == nil && tagged {
 		err = integrity.Check(metaBuf, tag)
 	}
@@ -287,33 +299,33 @@ func (r *recovery) restoreImage(p *sim.Proc) error {
 		return err
 	}
 	wg := s.env.NewWaitGroup("2bssd.restore")
-	nblocks := len(r.dumpBlocks)
 	wg.Add(nblocks)
 	var firstErr error
-	for b := 0; b < nblocks; b++ {
-		b := b
-		s.env.Go(fmt.Sprintf("2bssd.rst%d", b), func(w *sim.Proc) {
-			defer wg.Done()
-			blk := r.dumpBlocks[b]
-			base := nand.PPA(uint64(blk) * uint64(fc.PagesPerBlock))
-			pg := 0
-			for i := b * per; i < (b+1)*per && i < s.BufferPages(); i++ {
-				data, tag, tagged, _, err := s.dev.Flash().ReadPageTagged(w, base+nand.PPA(pg))
-				if err == nil && tagged {
-					if cerr := integrity.Check(data, tag); cerr != nil {
-						err = fmt.Errorf("2bssd: restore page %d: %w", i, cerr)
-					}
+	restore := func(w *sim.Proc, b int) {
+		defer wg.Done()
+		blk := r.dumpBlocks[b]
+		base := nand.PPA(uint64(blk) * uint64(fc.PagesPerBlock))
+		data := scratch[b*ps : (b+1)*ps]
+		pg := 0
+		for i := b * per; i < (b+1)*per && i < s.BufferPages(); i++ {
+			tag, tagged, _, err := s.dev.Flash().ReadPageTaggedInto(w, base+nand.PPA(pg), data)
+			if err == nil && tagged {
+				if cerr := integrity.Check(data, tag); cerr != nil {
+					err = fmt.Errorf("2bssd: restore page %d: %w", i, cerr)
 				}
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				copy(s.babuf[i*ps:(i+1)*ps], data)
-				pg++
 			}
-		})
+			if err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				return
+			}
+			copy(s.babuf[i*ps:(i+1)*ps], data)
+			pg++
+		}
+	}
+	for b := 0; b < nblocks; b++ {
+		s.env.GoIdx("2bssd.rst", b, restore)
 	}
 	wg.Wait(p)
 	if firstErr != nil {
@@ -331,24 +343,25 @@ func (r *recovery) rearm(p *sim.Proc) {
 	s := r.s
 	wg := s.env.NewWaitGroup("2bssd.rearm")
 	wg.Add(len(r.dumpBlocks))
-	for _, blk := range r.dumpBlocks {
-		blk := blk
-		s.env.Go("2bssd.erase", func(w *sim.Proc) {
-			defer wg.Done()
-			if s.dev.Flash().NextPage(blk) == 0 {
-				return // already erased
+	erase := func(w *sim.Proc, b int) {
+		defer wg.Done()
+		blk := r.dumpBlocks[b]
+		if s.dev.Flash().NextPage(blk) == 0 {
+			return // already erased
+		}
+		if err := s.dev.Flash().EraseBlock(w, blk); err != nil {
+			// An injected erase failure retires a dump block; the
+			// area keeps working at reduced parallelism as long as
+			// enough blocks remain (checked at construction). Real
+			// config errors still panic.
+			if errors.Is(err, nand.ErrEraseFailed) || errors.Is(err, nand.ErrWornOut) {
+				return
 			}
-			if err := s.dev.Flash().EraseBlock(w, blk); err != nil {
-				// An injected erase failure retires a dump block; the
-				// area keeps working at reduced parallelism as long as
-				// enough blocks remain (checked at construction). Real
-				// config errors still panic.
-				if errors.Is(err, nand.ErrEraseFailed) || errors.Is(err, nand.ErrWornOut) {
-					return
-				}
-				panic(fmt.Sprintf("2bssd: rearm erase failed: %v", err))
-			}
-		})
+			panic(fmt.Sprintf("2bssd: rearm erase failed: %v", err))
+		}
+	}
+	for b := range r.dumpBlocks {
+		s.env.GoIdx("2bssd.erase", b, erase)
 	}
 	wg.Wait(p)
 	r.armed = true

@@ -275,3 +275,99 @@ func TestPropertyPowerCyclePreservesSyncedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// powerCycleConfig is the full-spec device with a BA-buffer of the
+// given page count; its dump area is one block per die at any size up
+// to 8 MB, so the dump and restore run the same workers.
+func powerCycleConfig(pages int) Config {
+	cfg := DefaultConfig()
+	cfg.BABufferBytes = pages * cfg.Base.Nand.PageSize
+	return cfg
+}
+
+// newCycleSSD builds a 2B-SSD with one synced, pinned page of data in
+// its BA-buffer; the rest of the buffer is zero, as after a fresh pin.
+func newCycleSSD(tb testing.TB, e *sim.Env, cfg Config) *TwoBSSD {
+	s := New(e, cfg)
+	e.Go("setup", func(p *sim.Proc) {
+		err := s.BAPin(p, 0, 0, 5, 1)
+		if err == nil {
+			err = s.Mmio().Write(p, 0, bytes.Repeat([]byte{0x5A}, s.PageSize()))
+		}
+		if err == nil {
+			err = s.BASync(p, 0)
+		}
+		if err != nil {
+			tb.Errorf("setup: %v", err)
+		}
+	})
+	e.Run()
+	return s
+}
+
+// powerCycle runs one PowerLoss→PowerOn cycle through a persisted dump.
+func powerCycle(p *sim.Proc, s *TwoBSSD) error {
+	rep, err := s.PowerLoss(p)
+	if err != nil {
+		return err
+	}
+	if !rep.Persisted {
+		return errors.New("dump not persisted")
+	}
+	return s.PowerOn(p)
+}
+
+// The host allocations of a power cycle do not grow with the BA-buffer:
+// dump and restore move pages without allocating one per page.
+func TestPowerCycleAllocsIndependentOfBufferSize(t *testing.T) {
+	allocs := func(pages int) float64 {
+		e := sim.NewEnv()
+		s := newCycleSSD(t, e, powerCycleConfig(pages))
+		var n float64
+		e.Go("t", func(p *sim.Proc) {
+			n = testing.AllocsPerRun(3, func() {
+				if err := powerCycle(p, s); err != nil {
+					t.Errorf("%d pages: %v", pages, err)
+				}
+			})
+			got := make([]byte, s.PageSize())
+			if err := s.Mmio().Read(p, 0, got); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0x5A}, s.PageSize())) {
+				t.Errorf("%d pages: synced page not restored (err %v)", pages, err)
+			}
+		})
+		e.Run()
+		return n
+	}
+	small, large := allocs(256), allocs(2048)
+	if large > small+16 {
+		t.Errorf("power cycle allocs: %v at 256 pages, %v at 2048; want at most 16 more", small, large)
+	}
+}
+
+// BenchmarkPowerCycle measures one PowerLoss→PowerOn cycle at the crash
+// campaign's stack size (1 MB BA-buffer, 4 dies) and at full spec (8 MB,
+// 64 dies). Run with -benchmem.
+func BenchmarkPowerCycle(b *testing.B) {
+	crash := testConfig()
+	crash.BABufferBytes = 256 * 4096
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{{"1MB", crash}, {"8MB", DefaultConfig()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := sim.NewEnv()
+			s := newCycleSSD(b, e, bc.cfg)
+			e.Go("b", func(p *sim.Proc) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := powerCycle(p, s); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			e.Run()
+		})
+	}
+}

@@ -4,13 +4,15 @@
 // erase-before-program, strictly sequential page programming within a
 // block, and limited erase endurance.
 //
-// Pages carry real bytes (sparsely stored), so layers above can verify
-// data integrity end to end, and all latency is charged on the sim
-// clock: a die is a capacity-1 resource held for the array-operation
-// time, a channel is a capacity-1 resource held for the transfer time.
+// Pages carry real bytes (sparsely stored: an erased or all-zero page
+// holds no host memory), so layers above can verify data integrity end
+// to end, and all latency is charged on the sim clock: a die is a
+// capacity-1 resource held for the array-operation time, a channel is
+// a capacity-1 resource held for the transfer time.
 package nand
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -168,8 +170,8 @@ type Flash struct {
 	channels []*sim.Resource
 	dies     []*sim.Resource
 	blocks   []blockState
-	data     map[PPA][]byte
-	spare    [][]byte // page buffers retired by EraseBlock, reused by programPage
+	data     map[PPA][]byte // programmed non-zero pages; absent reads as zeroes
+	spare    [][]byte       // page buffers retired by EraseBlock, reused by programPage
 	oob      map[PPA]oobTag
 
 	o        *obs.Set
@@ -383,9 +385,7 @@ func (f *Flash) readTimedInto(p *sim.Proc, ppa PPA, dst []byte) (uint32, bool, e
 	f.hRead.Observe(sim.Duration(f.env.Now() - start))
 	dst = dst[:f.cfg.PageSize]
 	n := copy(dst, f.data[ppa])
-	for i := n; i < len(dst); i++ { // unprogrammed pages read as zeroes
-		dst[i] = 0
-	}
+	clear(dst[n:]) // unprogrammed and all-zero pages read as zeroes
 	t := f.oob[ppa]
 	return t.tag, t.tagged, nil
 }
@@ -439,19 +439,15 @@ func (f *Flash) programPage(p *sim.Proc, ppa PPA, data []byte, t oobTag) error {
 		return fmt.Errorf("%w: block %d page %d", ErrProgramFailed, f.cfg.BlockOf(ppa), page)
 	}
 	blk.nextPage++
-	var stored []byte
-	if n := len(f.spare); n > 0 {
-		stored = f.spare[n-1]
-		f.spare[n-1] = nil
-		f.spare = f.spare[:n-1]
-	} else {
-		stored = make([]byte, f.cfg.PageSize)
+	// An all-zero page stays absent from f.data: it reads back as
+	// zeroes like an erased one, and costs no host memory. Pages at or
+	// past a block's nextPage never have an entry, so none is stale.
+	if !allZero(data) {
+		stored := f.takePage()
+		n := copy(stored, data)
+		clear(stored[n:]) // short writes are zero-padded
+		f.data[ppa] = stored
 	}
-	n := copy(stored, data)
-	for i := n; i < len(stored); i++ { // short writes are zero-padded
-		stored[i] = 0
-	}
-	f.data[ppa] = stored
 	if t.tagged {
 		f.oob[ppa] = t
 	} else {
@@ -465,6 +461,34 @@ func (f *Flash) programPage(p *sim.Proc, ppa PPA, data []byte, t oobTag) error {
 		f.inj.Tick(fault.EvNandProgram)
 	}
 	return nil
+}
+
+// takePage returns a page buffer for f.data, reusing one retired by
+// EraseBlock when there is one. Its contents are stale.
+func (f *Flash) takePage() []byte {
+	n := len(f.spare)
+	if n == 0 {
+		return make([]byte, f.cfg.PageSize)
+	}
+	pg := f.spare[n-1]
+	f.spare[n-1] = nil
+	f.spare = f.spare[:n-1]
+	return pg
+}
+
+// zeroChunk is the all-zero reference allZero compares against.
+var zeroChunk [4096]byte
+
+// allZero reports whether every byte of b is zero, at memequal speed.
+func allZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroChunk))
+		if !bytes.Equal(b[:n], zeroChunk[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 // EraseBlock erases a whole block, making its pages programmable again.
@@ -549,11 +573,24 @@ func (f *Flash) PeekTag(ppa PPA) (uint32, bool) {
 // tags actually detect a page a layer mangled in flight. The BER fault
 // model perturbs *latency* and verdicts while keeping bytes intact;
 // this hook is how tests make bytes lie. Returns false when the page
-// was never programmed (nothing to corrupt).
+// was never programmed (nothing to corrupt). A programmed all-zero page
+// gets its stored bytes only here, when n asks for bits to flip.
 func (f *Flash) CorruptPage(ppa PPA, n int) bool {
+	if f.checkPPA(ppa) != nil {
+		return false
+	}
+	_, _, page := f.cfg.Decompose(ppa)
+	if page >= f.blocks[f.cfg.BlockOf(ppa)].nextPage {
+		return false
+	}
+	if n <= 0 {
+		return true
+	}
 	data, ok := f.data[ppa]
 	if !ok {
-		return false
+		data = f.takePage()
+		clear(data)
+		f.data[ppa] = data
 	}
 	if n > len(data) {
 		n = len(data)

@@ -324,3 +324,83 @@ func TestPropertyPPABijection(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An all-zero page, full-length or short, is programmed without being
+// stored: it reads back as zeroes with its tag, advances the block's
+// program pointer, can still be corrupted, and gives way to real data
+// after an erase.
+func TestZeroPageProgram(t *testing.T) {
+	e := sim.NewEnv()
+	f := New(e, testConfig())
+	c := f.Config()
+	blk := c.BlockOf(c.PPAOf(0, 0, 0))
+	e.Go("t", func(p *sim.Proc) {
+		for pg, data := range [][]byte{make([]byte, c.PageSize), make([]byte, 3)} {
+			ppa := c.PPAOf(0, 0, pg)
+			if err := f.ProgramPageTagged(p, ppa, data, 0xC0DE+uint32(pg)); err != nil {
+				t.Fatalf("program zero page %d: %v", pg, err)
+			}
+			if got := f.NextPage(blk); got != pg+1 {
+				t.Errorf("NextPage after page %d = %d, want %d", pg, got, pg+1)
+			}
+			got, err := f.ReadPage(p, ppa)
+			if err != nil || !bytes.Equal(got, make([]byte, c.PageSize)) {
+				t.Errorf("page %d: ReadPage not all zeroes (err %v)", pg, err)
+			}
+			if !bytes.Equal(f.PeekPage(ppa), make([]byte, c.PageSize)) {
+				t.Errorf("page %d: PeekPage not all zeroes", pg)
+			}
+			if tag, ok := f.PeekTag(ppa); !ok || tag != 0xC0DE+uint32(pg) {
+				t.Errorf("page %d: PeekTag = %#x, %v", pg, tag, ok)
+			}
+		}
+		ppa := c.PPAOf(0, 0, 1)
+		if !f.CorruptPage(ppa, 2) {
+			t.Fatal("CorruptPage reported a programmed zero page as unprogrammed")
+		}
+		got, _ := f.ReadPage(p, ppa)
+		if got[0] != 1 || got[1] != 1 || got[2] != 0 {
+			t.Errorf("corrupted zero page reads %v, want the low bit of 2 bytes flipped", got[:3])
+		}
+		if f.CorruptPage(c.PPAOf(0, 0, 2), 1) {
+			t.Error("CorruptPage reported an unprogrammed page as programmed")
+		}
+		if err := f.EraseBlock(p, blk); err != nil {
+			t.Fatalf("erase: %v", err)
+		}
+		if got, _ := f.ReadPage(p, ppa); !bytes.Equal(got, make([]byte, c.PageSize)) {
+			t.Error("erased page not all zeroes")
+		}
+		payload := bytes.Repeat([]byte{0x5A}, c.PageSize)
+		for pg := 0; pg < 2; pg++ {
+			if err := f.ProgramPage(p, c.PPAOf(0, 0, pg), payload); err != nil {
+				t.Fatalf("program after erase: %v", err)
+			}
+			if got, _ := f.ReadPage(p, c.PPAOf(0, 0, pg)); !bytes.Equal(got, payload) {
+				t.Errorf("page %d after erase reads back wrong data", pg)
+			}
+		}
+	})
+	e.Run()
+}
+
+// Programming an all-zero page allocates nothing on the host.
+func TestZeroPageProgramAllocFree(t *testing.T) {
+	e := sim.NewEnv()
+	f := New(e, testConfig())
+	c := f.Config()
+	zero := make([]byte, c.PageSize)
+	e.Go("t", func(p *sim.Proc) {
+		pg := 0
+		allocs := testing.AllocsPerRun(c.PagesPerBlock-1, func() {
+			if err := f.ProgramPage(p, c.PPAOf(0, 0, pg), zero); err != nil {
+				t.Fatal(err)
+			}
+			pg++
+		})
+		if allocs != 0 {
+			t.Errorf("zero-page program: %v allocs, want 0", allocs)
+		}
+	})
+	e.Run()
+}

@@ -23,7 +23,6 @@ import (
 type Collector struct {
 	mu      sync.Mutex
 	tracing bool
-	prev    func(*Set)
 	sets    []*Set
 
 	sampleEvery  sim.Duration
@@ -55,21 +54,43 @@ func (c *Collector) EnableSampling(every sim.Duration, maxPoints int) {
 	c.sampleEvery, c.samplePoints = every, maxPoints
 }
 
-// Install hooks the collector into OnNewSet so every subsequently
-// created environment is collected. It chains to any previously
-// installed hook; Uninstall restores it.
+// installed holds the collectors between their Install and Uninstall,
+// newest first. The slice is replaced, never modified in place, so Of
+// can range over the one it read after dropping the lock.
+var installed struct {
+	sync.Mutex
+	cols []*Collector
+}
+
+// installedCollectors returns the collectors installed right now.
+func installedCollectors() []*Collector {
+	installed.Lock()
+	defer installed.Unlock()
+	return installed.cols
+}
+
+// Install makes Of hand every subsequently created environment's set
+// to the collector, until Uninstall. Collectors may overlap and finish
+// in any order; each collects exactly the environments created while
+// it is installed. The hand-set OnNewSet hook is left alone.
 func (c *Collector) Install() {
-	c.prev = OnNewSet
-	OnNewSet = func(s *Set) {
-		c.Collect(s)
-		if c.prev != nil {
-			c.prev(s)
+	installed.Lock()
+	defer installed.Unlock()
+	installed.cols = append([]*Collector{c}, installed.cols...)
+}
+
+// Uninstall stops the collector collecting, leaving any other
+// installed collector in place.
+func (c *Collector) Uninstall() {
+	installed.Lock()
+	defer installed.Unlock()
+	for i, x := range installed.cols {
+		if x == c {
+			installed.cols = append(installed.cols[:i:i], installed.cols[i+1:]...)
+			return
 		}
 	}
 }
-
-// Uninstall restores the previous OnNewSet hook.
-func (c *Collector) Uninstall() { OnNewSet = c.prev }
 
 // Collect registers one set explicitly (for environments created before
 // Install, or in tests). Safe to call from concurrent experiment

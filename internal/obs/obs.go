@@ -286,10 +286,10 @@ type Set struct {
 }
 
 // OnNewSet, when non-nil, is invoked each time Of lazily creates a Set
-// for an environment. cmd/bench2b installs a Collector hook here so any
-// paper experiment — however many environments it builds internally —
-// emits metrics and trace artifacts. Set it before the environments are
-// created; it runs on the goroutine calling Of.
+// for an environment, after every installed Collector has collected it.
+// It is a hand-set hook for callers that need more than a Collector;
+// Install and Uninstall never touch it. Set it before the environments
+// are created; it runs on the goroutine calling Of.
 var OnNewSet func(*Set)
 
 // Of returns the environment's observability set, creating and
@@ -303,6 +303,9 @@ func Of(env *sim.Env) *Set {
 	}
 	s := &Set{env: env, reg: NewRegistry()}
 	env.SetAttachment(s)
+	for _, c := range installedCollectors() {
+		c.Collect(s)
+	}
 	if OnNewSet != nil {
 		OnNewSet(s)
 	}
